@@ -108,7 +108,7 @@ func main() {
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		workers = flag.Int("workers", 0, "concurrent simulations per experiment (0 = GOMAXPROCS)")
-		engineW = flag.Int("engine-workers", 0, "event-engine worker goroutines per simulation; >1 enables the conservative parallel engine (0/1 = sequential)")
+		engineW = flag.Int("engine-workers", 0, "draw worker goroutines per simulation: >1 rasterizes each draw batch's GPUs in parallel, byte-identical output (0/1 = inline)")
 
 		faults     = flag.String("faults", "", "single run: fault-injection spec (drop=P,corrupt=P,dup=P,delay=P:C,degrade=F@A:B,stall=G@A+D,fail=G@A,link:A-B@T) or 'random'")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault plan (with -faults)")

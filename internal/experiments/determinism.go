@@ -232,12 +232,12 @@ func diffDigests(seq, par []Digest, a, b string) []string {
 // other (shared mutable state, map-iteration order leaking into event
 // order, ...).
 //
-// Axis 2 — the event engine: the engine matrix (five scheme rows) runs
-// once on the sequential event loop (EngineWorkers=0) and once on the
-// conservative parallel engine (EngineWorkers>1, sharded event queues with
-// lookahead barriers). A difference means the parallel engine reordered
-// observably-coupled events — exactly the bug class its barrier merge is
-// designed to exclude.
+// Axis 2 — the draw worker pool: the engine matrix (five scheme rows) runs
+// once with every draw rasterized inline (EngineWorkers=0) and once with
+// SubmitDraws fanning draw batches across EngineWorkers>1 goroutines. A
+// difference means the prepare/commit split leaked goroutine scheduling
+// into simulated state — shared mutable state between GPUs' prepares, or a
+// commit out of request order.
 //
 // Axis 3 — the scale-out configuration space: the topology × exchange-plan
 // matrix (routed fabrics, multi-round plans) runs sequentially and with full
@@ -264,11 +264,11 @@ func CheckDeterminism(opt Options) ([]Digest, error) {
 	}
 	eseq, err := runEngineDigests(opt, 0)
 	if err != nil {
-		return seq, fmt.Errorf("sequential-engine pass: %w", err)
+		return seq, fmt.Errorf("inline-engine pass: %w", err)
 	}
 	epar, err := runEngineDigests(opt, engWorkers)
 	if err != nil {
-		return seq, fmt.Errorf("parallel-engine pass: %w", err)
+		return seq, fmt.Errorf("engine-workers pass: %w", err)
 	}
 	diffs = append(diffs, diffDigests(eseq, epar, "sequential engine", fmt.Sprintf("engine-workers=%d", engWorkers))...)
 

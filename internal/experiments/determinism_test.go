@@ -3,11 +3,11 @@ package experiments
 import "testing"
 
 // TestDeterminismAcrossWorkers runs the self-check along both axes —
-// concurrent simulations (Workers) and the conservative parallel event
-// engine (EngineWorkers) — and requires identical cycle counts and image
+// concurrent simulations (Workers) and the draw worker pool
+// (EngineWorkers) — and requires identical cycle counts and image
 // checksums. A failure on the first axis means concurrent simulations
-// influence each other; on the second, that the parallel engine's barrier
-// merge reordered observably-coupled events. Either would invalidate every
+// influence each other; on the second, that fanning draw batches across
+// goroutines changed simulated state. Either would invalidate every
 // experiment table. Three benchmarks give the engine axis geometry with
 // different draw counts, resolutions, and depth complexity.
 func TestDeterminismAcrossWorkers(t *testing.T) {

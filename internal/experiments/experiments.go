@@ -47,12 +47,11 @@ type Options struct {
 	Benchmarks []string
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// EngineWorkers enables the conservative parallel event engine inside
-	// each simulation (multigpu.Config.EngineWorkers): per-GPU + fabric
-	// event shards with the link latency as lookahead, plus worker fan-out
-	// of the per-GPU functional rasterization. Results are byte-identical
-	// to the sequential engine; values < 2 (the default) keep simulations
-	// single-threaded.
+	// EngineWorkers sizes the draw worker pool inside each simulation
+	// (multigpu.Config.EngineWorkers): the per-GPU functional rasterization
+	// of each draw batch fans across that many goroutines. Results are
+	// byte-identical at any value; values < 2 (the default) keep
+	// simulations single-threaded.
 	EngineWorkers int
 	// Verify attaches the runtime invariant checker to every simulation the
 	// experiment runs (multigpu.Config.Verify); any violation aborts the

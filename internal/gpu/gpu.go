@@ -243,20 +243,7 @@ type GPU struct {
 	failed   bool
 	failedAt sim.Cycle
 	stats    Stats
-
-	shard sim.ShardID
 }
-
-// SetShard records the engine shard this GPU belongs to under conservative
-// parallel simulation (multigpu assigns shard 1+ID). The GPU's completion
-// events are still scheduled globally — they carry scheme-orchestration
-// callbacks (barrier dones, scheduler updates) that touch cross-GPU state,
-// so tagging them affine would be unsound — but the shard id identifies the
-// GPU for worker-fanout grouping and shard-affine models layered on top.
-func (g *GPU) SetShard(s sim.ShardID) { g.shard = s }
-
-// Shard returns the shard id recorded by SetShard (ShardGlobal when unset).
-func (g *GPU) Shard() sim.ShardID { return g.shard }
 
 // New returns a GPU with a cleared framebuffer for render target 0.
 func New(id int, eng *sim.Engine, costs CostConfig, width, height int, rcfg raster.Config) (*GPU, error) {

@@ -397,19 +397,6 @@ func TestPrepareCommitEquivalence(t *testing.T) {
 	}
 }
 
-// TestGPUShardTag pins the SetShard/Shard accessors.
-func TestGPUShardTag(t *testing.T) {
-	eng := sim.New()
-	g := newTestGPU(t, eng, testCosts(), 8, 8)
-	if g.Shard() != sim.ShardGlobal {
-		t.Fatalf("fresh GPU shard = %d, want global", g.Shard())
-	}
-	g.SetShard(3)
-	if g.Shard() != 3 {
-		t.Fatalf("shard = %d, want 3", g.Shard())
-	}
-}
-
 // TestTracerDisabledAllocs pins the nil-tracer contract on the submission
 // hot paths that now carry category tags: with no tracer attached, the tag
 // arguments must never be materialized — 0 allocs/op. (SubmitGeometry is

@@ -19,8 +19,7 @@ func benchSend(eng *sim.Engine, f *Fabric, n, transfers int) {
 // BenchmarkTracerDisabled is the observability overhead contract for the
 // fabric: with no tracer attached, the Send/tryStart/delivery hot path must
 // not allocate in steady state (delivery events are recycled, the egress
-// queue keeps its capacity). The CI bench job tracks allocs/op;
-// TestTracerDisabledAllocs enforces the zero.
+// queue keeps its capacity). TestTracerDisabledAllocs enforces the zero.
 func BenchmarkTracerDisabled(b *testing.B) {
 	const n, transfers = 4, 256
 	eng := sim.New()
@@ -52,25 +51,6 @@ func TestTracerDisabledAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced SendControl path allocated %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestShardedEngineAllocs extends the 0-allocs/op contract to a fabric on a
-// shard-configured engine with workers unset (the default when
-// EngineWorkers is not requested): the shard-tagged scheduling paths must
-// cost nothing on the sequential dispatcher.
-func TestShardedEngineAllocs(t *testing.T) {
-	const n, transfers = 4, 64
-	eng := sim.New()
-	eng.ConfigureShards(n+1, DefaultConfig().LatencyCycles)
-	f := newFabric(t, eng, n, DefaultConfig())
-	f.SetShard(sim.ShardID(n + 1))
-	benchSend(eng, f, n, transfers)
-	allocs := testing.AllocsPerRun(100, func() {
-		benchSend(eng, f, n, transfers)
-	})
-	if allocs != 0 {
-		t.Fatalf("shard-tagged Send path allocated %.1f allocs/op, want 0", allocs)
 	}
 }
 

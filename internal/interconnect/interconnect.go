@@ -355,7 +355,7 @@ func (d *delivery) Fire() {
 		// The ack reaches the sender one link latency later; it is modeled
 		// as free, like control traffic.
 		lat := f.cfg.LatencyCycles
-		f.eng.AfterOn(f.shard, lat, func() { x.acked = true })
+		f.eng.After(lat, func() { x.acked = true })
 	}
 	if f.obs != nil {
 		f.obs.Delivered(m.src, m.dst, m.bytes, m.class)
@@ -424,13 +424,6 @@ type Fabric struct {
 	eng *sim.Engine
 	cfg Config
 	n   int
-
-	// shard is the engine shard the fabric's internal bookkeeping events —
-	// egress-port frees, ack timers, retransmit backoffs — are affine to
-	// under conservative parallel simulation (ShardGlobal when unset).
-	// Delivery events stay global: they run caller-supplied onDelivered
-	// callbacks that touch arbitrary simulator state.
-	shard sim.ShardID
 
 	// topo is the routed topology (nil for the crossbar: a single nil check
 	// keeps the legacy timing path). linkFree[l] is when directed link l's
@@ -776,16 +769,6 @@ func (f *Fabric) SetObserver(o Observer) {
 // accounted in Stats.Faults instead.
 func (f *Fabric) SetInjector(inj Injector) { f.inj = inj }
 
-// SetShard assigns the engine shard the fabric's internal bookkeeping
-// events (egress-port frees, ack timers, retransmit backoffs) are tagged
-// with under conservative parallel simulation. multigpu assigns the shard
-// after the per-GPU shards. ShardGlobal (the default) leaves the events
-// untagged.
-func (f *Fabric) SetShard(s sim.ShardID) { f.shard = s }
-
-// Shard returns the fabric's shard tag.
-func (f *Fabric) Shard() sim.ShardID { return f.shard }
-
 // SetTracer attaches a timeline tracer (nil disables tracing): every bulk
 // transfer emits an egress span on the source GPU's egress track and an
 // ingress span on the destination's ingress track, linked by a flow arrow;
@@ -977,7 +960,7 @@ func (f *Fabric) tryStart(src int) {
 		tx = 1
 	}
 	// Egress port frees when the last byte leaves.
-	f.eng.AfterCallOn(f.shard, tx, &f.ports[src])
+	f.eng.AfterCall(tx, &f.ports[src])
 	// Cut-through delivery: last byte arrives latency cycles after it was
 	// sent; the ingress port serializes concurrent arrivals. On a routed
 	// topology the transfer instead claims its path of link channels,
@@ -1102,7 +1085,7 @@ func (f *Fabric) armTimer(x *xfer, expect sim.Cycle) {
 	}
 	deadline := expect + f.cfg.LatencyCycles + f.cfg.Retry.Timeout
 	id := x.attempts
-	f.eng.AtOn(f.shard, deadline, func() { f.timeout(x, id) })
+	f.eng.At(deadline, func() { f.timeout(x, id) })
 }
 
 // timeout handles an expired ack deadline for transmission id of x.
@@ -1142,7 +1125,7 @@ func (f *Fabric) timeout(x *xfer, id int) {
 			obs.Arg{Key: "bytes", Val: x.m.bytes}, obs.Arg{Key: "dst", Val: int64(x.m.dst)},
 			obs.Arg{Key: "retry", Val: int64(x.retries)})
 	}
-	f.eng.AfterOn(f.shard, backoff, func() { f.retransmit(x) })
+	f.eng.After(backoff, func() { f.retransmit(x) })
 }
 
 // retransmit re-queues x's payload after its backoff. Retransmitted bytes

@@ -98,16 +98,13 @@ type Config struct {
 	// internal/experiments and chopinsim -timeout).
 	Cancel func() bool
 
-	// EngineWorkers enables the engine's conservative parallel mode
-	// (DESIGN.md §9): the event population is sharded per GPU plus one
-	// shard for the fabric, the link latency becomes the lookahead window,
-	// and up to EngineWorkers goroutines execute shard-affine windows and
-	// fan out per-GPU functional rasterization (System.SubmitDraws).
-	// Results are byte-identical to the sequential engine at any worker
-	// count. Values < 2 (the default) keep the engine fully sequential
-	// with its 0-allocs/op hot paths. Like Tracer and Cancel, this is an
-	// execution attachment, not architecture: it is excluded from
-	// Fingerprint.
+	// EngineWorkers sizes the draw-level worker pool (DESIGN.md §9): up to
+	// EngineWorkers goroutines run the per-GPU functional rasterization of
+	// each draw batch (System.SubmitDraws via sim.Engine.Fanout), while all
+	// event scheduling stays on the dispatching goroutine. Results are
+	// byte-identical at any worker count. Values < 2 (the default) run
+	// everything inline. Like Tracer and Cancel, this is an execution
+	// attachment, not architecture: it is excluded from Fingerprint.
 	EngineWorkers int
 
 	// CompAlg selects the exchange plan opaque composition groups execute
@@ -187,7 +184,7 @@ type fpConfig struct {
 // composition algorithm, scheme thresholds). Attachments that observe or
 // perturb a run from outside the modelled architecture — Tracer, Cancel,
 // Faults, Verify, RecordPerDraw, EngineWorkers — are excluded, so a traced,
-// verified, or parallel-engine re-run of the same architecture fingerprints
+// verified, or worker-pool re-run of the same architecture fingerprints
 // identically. Run records (package runrec) key rows on it.
 func (c Config) Fingerprint() string {
 	fp := fpConfig{
@@ -283,21 +280,11 @@ func New(cfg Config, width, height int) (*System, error) {
 	}
 	eng := sim.New()
 	if cfg.EngineWorkers > 1 {
-		// Conservative parallel mode: one shard per GPU plus one for the
-		// fabric, with the link latency as the lookahead window. With an
-		// ideal (zero-latency) fabric there is no positive lookahead to
-		// exploit, so only the worker pool (SubmitDraws fan-out) is enabled.
 		eng.SetWorkers(cfg.EngineWorkers)
-		if look := cfg.Link.LatencyCycles; look > 0 && !cfg.Link.Ideal {
-			eng.ConfigureShards(cfg.NumGPUs+1, look)
-		}
 	}
 	fabric, err := interconnect.New(eng, cfg.NumGPUs, cfg.Link)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.EngineWorkers > 1 && eng.Shards() > 0 {
-		fabric.SetShard(sim.ShardID(cfg.NumGPUs + 1))
 	}
 	if cfg.FabricTelemetry {
 		fabric.EnableLinkTelemetry()
@@ -348,9 +335,6 @@ func New(cfg Config, width, height int) (*System, error) {
 			return nil, err
 		}
 		g.SetTracer(cfg.Tracer)
-		if eng.Shards() > 0 {
-			g.SetShard(sim.ShardID(i + 1))
-		}
 		s.GPUs = append(s.GPUs, g)
 	}
 	s.tileCount = s.GPUs[0].Target(0).TileCount()

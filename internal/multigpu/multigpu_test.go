@@ -141,7 +141,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 // TestSubmitDrawsEquivalence: a SubmitDraws batch with EngineWorkers > 1
 // must be byte-identical to the sequential SubmitDraw loop — same
-// framebuffers, same completion cycles — and parallel-engine wiring must
+// framebuffers, same completion cycles — and the worker count must
 // not leak into the architectural fingerprint.
 func TestSubmitDrawsEquivalence(t *testing.T) {
 	const w, h = 128, 128
@@ -205,38 +205,16 @@ func TestSubmitDrawsEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersWiring pins the shard layout New builds: GPU i on shard
-// 1+i, the fabric on shard NumGPUs+1, lookahead = link latency; and that
-// an ideal link disables sharding but keeps the worker pool.
+// TestEngineWorkersWiring pins that New sizes the engine's worker pool from
+// EngineWorkers, with real and with ideal links.
 func TestEngineWorkersWiring(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumGPUs = 4
 	cfg.EngineWorkers = 3
-	sys := newSys(t, cfg, 64, 64)
-	if got := sys.Eng.Workers(); got != 3 {
-		t.Errorf("workers = %d, want 3", got)
-	}
-	if got := sys.Eng.Shards(); got != 5 {
-		t.Errorf("shards = %d, want 5 (4 GPUs + fabric)", got)
-	}
-	if got := sys.Eng.Lookahead(); got != cfg.Link.LatencyCycles {
-		t.Errorf("lookahead = %d, want %d", got, cfg.Link.LatencyCycles)
-	}
-	for i, g := range sys.GPUs {
-		if got := g.Shard(); got != sim.ShardID(i+1) {
-			t.Errorf("gpu %d shard = %d, want %d", i, got, i+1)
+	for _, ideal := range []bool{false, true} {
+		cfg.Link.Ideal = ideal
+		if got := newSys(t, cfg, 64, 64).Eng.Workers(); got != 3 {
+			t.Errorf("ideal=%v: workers = %d, want 3", ideal, got)
 		}
-	}
-	if got := sys.Fabric.Shard(); got != 5 {
-		t.Errorf("fabric shard = %d, want 5", got)
-	}
-
-	cfg.Link.Ideal = true
-	sys = newSys(t, cfg, 64, 64)
-	if got := sys.Eng.Shards(); got != 0 {
-		t.Errorf("ideal link: shards = %d, want 0", got)
-	}
-	if got := sys.Eng.Workers(); got != 3 {
-		t.Errorf("ideal link: workers = %d, want 3", got)
 	}
 }

@@ -73,8 +73,7 @@ func BenchmarkScheduleFireCallback(b *testing.B) {
 
 // BenchmarkTracerDisabled is the observability overhead contract for the
 // event engine: with no probe attached, the schedule/fire hot path must not
-// allocate. The CI bench job tracks allocs/op; TestTracerDisabledAllocs
-// enforces the zero.
+// allocate. TestTracerDisabledAllocs enforces the zero.
 func BenchmarkTracerDisabled(b *testing.B) {
 	const batch = 1024
 	e := New()
@@ -113,33 +112,6 @@ func TestTracerDisabledAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced schedule/fire allocated %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// BenchmarkParallelEngine measures the conservative windowed dispatcher on
-// the shard-affine chain model (shard_test.go): 6 node shards plus a hub,
-// fanned across 4 workers. BenchmarkParallelEngineSequential is the same
-// model on one worker, so the pair exposes the window dispatch overhead
-// and speedup in the exported bench JSON.
-func BenchmarkParallelEngine(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d, _ := runChainModel(uint64(i+1), 6, 4, 200)
-		if d.final == 0 {
-			b.Fatal("model did not advance")
-		}
-	}
-}
-
-// BenchmarkParallelEngineSequential is the one-worker baseline for
-// BenchmarkParallelEngine.
-func BenchmarkParallelEngineSequential(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d, _ := runChainModel(uint64(i+1), 6, 1, 200)
-		if d.final == 0 {
-			b.Fatal("model did not advance")
-		}
 	}
 }
 

@@ -5,17 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzTieBreak is the satellite determinism fuzzer: arbitrary interleaved
-// schedule/fire sequences — heavy on same-cycle ties — must pop in
-// identical order across three implementations of the ordering contract:
-//
-//  1. the four-ary heap fast path (plain sequential engine),
-//  2. a reference stable sort on (cycle, scheduling order),
-//  3. a shard-configured engine, both fully serialized (global tags) and
-//     genuinely sharded (per-shard projections of the reference order).
-//
-// The input bytes drive event timestamps (mod a small range to force ties),
-// child fan-out, and shard assignment.
+// FuzzTieBreak is the determinism fuzzer for the ordering contract:
+// arbitrary schedule sequences — heavy on same-cycle ties — must pop from
+// the four-ary heap in exactly the order of a reference stable sort on
+// (cycle, scheduling order). The input bytes drive event timestamps (mod a
+// small range to force ties).
 func FuzzTieBreak(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -26,14 +20,12 @@ func FuzzTieBreak(f *testing.F) {
 			t.Skip()
 		}
 		checkStaticBatch(t, data)
-		checkDynamicSharded(t, data)
 	})
 }
 
 // checkStaticBatch schedules one event per input byte (timestamps mod 16,
-// so ~n/16 events share each cycle) on a plain engine and on a
-// shard-configured engine with global tags, and compares both firing orders
-// against a reference stable sort.
+// so ~n/16 events share each cycle) on a plain engine and compares the
+// firing order against a reference stable sort.
 func checkStaticBatch(t *testing.T, data []byte) {
 	type entry struct {
 		at  Cycle
@@ -44,102 +36,17 @@ func checkStaticBatch(t *testing.T, data []byte) {
 		ref[i] = entry{at: Cycle(b % 16), idx: i}
 	}
 	sort.SliceStable(ref, func(a, b int) bool { return ref[a].at < ref[b].at })
-	want := make([]int, len(ref))
+
+	e := New()
+	got := make([]int, 0, len(data))
+	for i, b := range data {
+		i := i
+		e.At(Cycle(b%16), func() { got = append(got, i) })
+	}
+	e.Run()
 	for i := range ref {
-		want[i] = ref[i].idx
-	}
-
-	run := func(name string, e *Engine) {
-		t.Helper()
-		got := make([]int, 0, len(data))
-		for i, b := range data {
-			i := i
-			e.At(Cycle(b%16), func() { got = append(got, i) })
-		}
-		e.Run()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: firing order diverges from reference sort at position %d: got %v, want %v",
-					name, i, got, want)
-			}
-		}
-	}
-	run("plain heap", New())
-	sharded := New()
-	sharded.ConfigureShards(4, 16)
-	sharded.SetWorkers(4)
-	// Global (untagged) events force every window to serialize, so the
-	// parallel dispatcher must reproduce the sequential order exactly.
-	run("sharded engine, global events", sharded)
-}
-
-// checkDynamicSharded builds a self-scheduling shard-affine model from the
-// input bytes and runs it sequentially and with workers, comparing
-// per-shard ordered records plus commutative cross-shard sink sums. Every
-// event's behavior is a pure function of its (shard, step) identity, so
-// both passes execute the same model with no shared mutable driver state.
-// Chain events live on even cycles and cross-shard arrivals on odd ones,
-// which keeps order-sensitive records tie-free by construction.
-func checkDynamicSharded(t *testing.T, data []byte) {
-	const (
-		shards  = 3
-		look    = Cycle(32) // even: preserves the even/odd cycle split
-		maxStep = 64
-	)
-	run := func(workers int) (recs [][]int64, sums []uint64, eng *Engine) {
-		e := New()
-		e.ConfigureShards(shards, look)
-		e.SetWorkers(workers)
-		recs = make([][]int64, shards+1)
-		sums = make([]uint64, shards+1)
-		var chain func(sh ShardID, step int) ShardFunc
-		chain = func(sh ShardID, step int) ShardFunc {
-			return func(sc *ShardCtx) {
-				recs[sh] = append(recs[sh], int64(sc.Now())<<8|int64(step&0xff))
-				b := data[(int(sh)*31+step*7)%len(data)]
-				if b == 0 || step >= maxStep {
-					return
-				}
-				if b%3 == 0 {
-					// Cross-shard sink at full lookahead, on an odd cycle.
-					// Arrivals may tie with each other, so the sink's
-					// observation is commutative.
-					dst := 1 + (sh+ShardID(b/3))%shards
-					id := uint64(sh)*1000 + uint64(step)
-					sc.AtShard(dst, sc.Now()+look+Cycle(2*(b%5))+1, func(sc *ShardCtx) {
-						sums[dst] += uint64(sc.Now()) * (id + 3)
-					})
-				}
-				// Chain ticks stay on even cycles; deltas below lookahead
-				// keep most children inside the current window.
-				sc.After(Cycle(2*(1+b%8)), chain(sh, step+1))
-			}
-		}
-		for s := ShardID(1); s <= shards; s++ {
-			e.AtShardFunc(s, Cycle(2*s), chain(s, 0))
-		}
-		e.Run()
-		return recs, sums, e
-	}
-
-	wantRecs, wantSums, _ := run(1)
-	gotRecs, gotSums, eng := run(4)
-	if v := eng.LookaheadViolations(); v != 0 {
-		t.Fatalf("model respects lookahead but engine counted %d violations", v)
-	}
-	for sh := 1; sh <= shards; sh++ {
-		if gotSums[sh] != wantSums[sh] {
-			t.Fatalf("shard %d: cross-shard sink sum %d parallel vs %d sequential", sh, gotSums[sh], wantSums[sh])
-		}
-		a, b := wantRecs[sh], gotRecs[sh]
-		if len(a) != len(b) {
-			t.Fatalf("shard %d: fired %d chain events parallel vs %d sequential", sh, len(b), len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("shard %d: chain order diverges at position %d: parallel %v, sequential %v",
-					sh, i, b, a)
-			}
+		if got[i] != ref[i].idx {
+			t.Fatalf("firing order diverges from reference sort at position %d: got %v, want %v", i, got, ref)
 		}
 	}
 }

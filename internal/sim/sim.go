@@ -13,7 +13,17 @@
 // not allocate. Callers that would otherwise build a closure per event can
 // schedule a reusable [Callback] through [Engine.AtCall] / [Engine.AfterCall]
 // instead.
+//
+// The engine itself is single-threaded. Its one parallel mechanism is
+// [Engine.Fanout], a bounded worker pool for mutually independent host-side
+// work (functional rasterization of already-ordered draw batches) that never
+// touches the event queue.
 package sim
+
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Cycle is a simulation timestamp in GPU clock cycles. It is an alias of
 // int64 (not a defined type) so that interfaces mentioning it — notably the
@@ -29,17 +39,12 @@ type Callback interface {
 	Fire()
 }
 
-// event is one queue entry. Exactly one of fn, cb, and sfn is set. shard is
-// the event's affinity (ShardGlobal unless scheduled through a shard-aware
-// API); the sequential dispatcher ignores it, the parallel dispatcher uses
-// it to decide which windows may fan out (see shard.go).
+// event is one queue entry. Exactly one of fn and cb is set.
 type event struct {
-	at    Cycle
-	seq   int64
-	shard ShardID
-	fn    func()
-	cb    Callback
-	sfn   ShardFunc
+	at  Cycle
+	seq int64
+	fn  func()
+	cb  Callback
 }
 
 // before reports whether a fires before b: earlier cycle first, scheduling
@@ -68,11 +73,8 @@ type Probe interface {
 const cancelStride = 64
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
-//
-// An Engine is single-threaded by default. ConfigureShards + SetWorkers
-// (shard.go) switch Run to a conservative windowed dispatcher that may fan
-// shard-affine events out to worker goroutines; every other configuration is
-// bit-identical to sequential execution.
+// Events are dispatched on the caller's goroutine; SetWorkers only sizes the
+// Fanout pool.
 type Engine struct {
 	now   Cycle
 	seq   int64
@@ -85,13 +87,8 @@ type Engine struct {
 	cancel      func() bool
 	cancelCount int
 
-	// par holds the conservative parallel-mode state; nil on the default
-	// sequential path so the hot-path guard below is one pointer test.
-	par *parallel
-	// seqCtx is the reusable ShardCtx handed to ShardFunc events dispatched
-	// sequentially, so tagging events with a shard costs no allocations when
-	// the engine runs single-threaded.
-	seqCtx ShardCtx
+	// workers bounds Fanout's goroutine count; 0 and 1 both mean inline.
+	workers int
 }
 
 // New returns a fresh engine at cycle 0.
@@ -146,9 +143,7 @@ func (e *Engine) Resume() {
 const arity = 4
 
 // eventHeap is a four-ary min-heap of events on (at, seq), stored flat in a
-// reusable slice. It is factored out of Engine so the parallel dispatcher's
-// per-shard queues (shard.go) reuse the exact same ordering code as the
-// global queue — one comparison function, one tie-break rule.
+// reusable slice.
 type eventHeap []event
 
 // push appends ev and restores heap order along its ancestor path.
@@ -220,19 +215,8 @@ func (e *Engine) push(ev event) {
 	e.q.push(ev)
 }
 
-// guardWindow panics when the engine facade is used from inside a parallel
-// window: worker goroutines must schedule through their ShardCtx, which
-// stages insertions for the barrier merge. On the sequential path (par ==
-// nil) this is a single pointer test.
-func (e *Engine) guardWindow() {
-	if p := e.par; p != nil && p.inWindow {
-		panic("sim: engine scheduling from inside a parallel window; use the ShardCtx")
-	}
-}
-
 // At schedules fn to run at the given cycle, which must not be in the past.
 func (e *Engine) At(t Cycle, fn func()) {
-	e.guardWindow()
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
@@ -250,7 +234,6 @@ func (e *Engine) After(d Cycle, fn func()) {
 // AtCall schedules cb to fire at the given cycle, which must not be in the
 // past. Unlike At, scheduling a pointer-backed Callback does not allocate.
 func (e *Engine) AtCall(t Cycle, cb Callback) {
-	e.guardWindow()
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
@@ -283,27 +266,14 @@ func (e *Engine) Step() bool {
 		}
 	}
 	ev := e.q.pop()
-	// A lookahead violation (see shard.go) can merge an event behind the
-	// clock; never let the clock regress. On well-formed schedules the
-	// clamp is a no-op: past scheduling panics, so ev.at >= e.now.
-	if ev.at > e.now {
-		e.now = ev.at
-	}
+	e.now = ev.at
 	if e.watch != nil {
 		e.watch(ev.at)
 	}
-	switch {
-	case ev.cb != nil:
+	if ev.cb != nil {
 		ev.cb.Fire()
-	case ev.fn != nil:
+	} else {
 		ev.fn()
-	default:
-		// ShardFunc events dispatched sequentially run with the reusable
-		// context: same-shard routing, zero allocations.
-		e.seqCtx.e = e
-		e.seqCtx.shard = ev.shard
-		e.seqCtx.w = nil
-		ev.sfn(&e.seqCtx)
 	}
 	if e.probe != nil {
 		e.probe.EventFired(ev.at, len(e.q))
@@ -314,14 +284,7 @@ func (e *Engine) Step() bool {
 // Run executes events until the queue is empty or the engine halts, and
 // returns the final time. After a halt, Pending reports how many events
 // were abandoned.
-//
-// With shards configured and more than one worker, Run uses the
-// conservative windowed dispatcher (shard.go); observable behavior is
-// identical.
 func (e *Engine) Run() Cycle {
-	if p := e.par; p != nil && p.shards > 0 && p.workers > 1 {
-		return e.runParallel()
-	}
 	for e.Step() {
 	}
 	return e.now
@@ -341,3 +304,83 @@ func (e *Engine) RunUntil(t Cycle) {
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.q) }
+
+// SetWorkers bounds Fanout's worker-goroutine count. n < 1 is treated as 1
+// (inline).
+func (e *Engine) SetWorkers(n int) {
+	if n < 1 {
+		n = 1
+	}
+	e.workers = n
+}
+
+// Workers returns the configured worker bound (1 when unconfigured).
+func (e *Engine) Workers() int {
+	if e.workers < 1 {
+		return 1
+	}
+	return e.workers
+}
+
+// ParallelWindows and SequentialWindows always return 0. They are the
+// remnants of a removed lookahead-window dispatcher, kept only because the
+// host-performance benchmark (bench/traced.go) still reports them as
+// per-layer metrics; drop them together with those metrics.
+func (e *Engine) ParallelWindows() int64 { return 0 }
+
+// SequentialWindows always returns 0; see ParallelWindows.
+func (e *Engine) SequentialWindows() int64 { return 0 }
+
+// Fanout runs fn(0..n-1) across the engine's workers and returns when all
+// calls have completed. The calls must be mutually independent — Fanout
+// makes no ordering promise between them — and must not touch the engine.
+// With fewer than two workers (or n < 2) the calls run inline, in order,
+// on the caller's goroutine; simulation results must not depend on which
+// path was taken.
+//
+// The timing model uses this to fan the functional rasterization of
+// already-ordered draw batches across cores (multigpu.System.SubmitDraws)
+// while all event scheduling stays on the dispatching goroutine.
+func (e *Engine) Fanout(n int, fn func(i int)) {
+	w := e.Workers()
+	if w > n {
+		w = n
+	}
+	if w < 2 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var panicMu sync.Mutex
+	var panicv any
+	wg.Add(w)
+	for k := 0; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicMu.Lock()
+					if panicv == nil {
+						panicv = r
+					}
+					panicMu.Unlock()
+				}
+			}()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(n) {
+					return
+				}
+				fn(int(i))
+			}
+		}()
+	}
+	wg.Wait()
+	if panicv != nil {
+		// Re-raise on the caller's goroutine so its recover handlers run.
+		panic(panicv)
+	}
+}
