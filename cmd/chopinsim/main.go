@@ -93,7 +93,7 @@ func main() {
 		benches = flag.String("benches", "", "comma-separated benchmark subset (default: all eight)")
 		scheme  = flag.String("scheme", "", "single run: duplication | gpupd | sort-middle | chopin | chopin-naive | chopin-rr | chopin-reorder")
 		bench   = flag.String("bench", "cod2", "single run: benchmark name")
-		gpus    = flag.Int("gpus", 8, "single run: GPU count (up to 64 with an exchange plan)")
+		gpus    = flag.Int("gpus", 8, "single run: GPU count (up to 64 for the CHOPIN schemes)")
 		ideal   = flag.Bool("ideal", false, "single run: idealized inter-GPU links")
 		topo    = flag.String("topology", "", "single run: inter-GPU fabric: crossbar | ring | mesh (default crossbar)")
 		compAlg = flag.String("comp-alg", "", "single run: CHOPIN composition exchange plan: direct-send | binary-swap | radix-k | mixed-radix | auto (default direct-send)")

@@ -217,26 +217,33 @@ func (p *Plan) Sessions() int {
 	return total
 }
 
-// DirectSend builds the one-round all-pairs plan: sender g addresses
-// receivers (g+1)%n, (g+2)%n, … — the exact order the scheme layer's naive
-// path uses, so session-derived bookkeeping reproduces it transfer for
-// transfer.
+// DirectSend builds the one-round all-pairs plan, the paper's composition
+// shape. Sessions are listed by ascending sender, then ascending receiver:
+// the fixed priority in which CHOPIN's composition scheduler
+// (core.PlanScheduler) arbitrates them.
 func DirectSend(n, h int) (*Plan, error) {
 	if err := checkDims(n, h); err != nil {
 		return nil, err
 	}
 	p := &Plan{Alg: AlgDirectSend, N: n, Height: h, OwnerRegions: true, Final: make([]Region, n)}
-	if n == 1 {
-		return p, nil
+	if n > 1 {
+		p.Rounds = []Round{directSendRound(allIDs(n), h)}
 	}
-	round := make(Round, 0, n*(n-1))
-	for g := 0; g < n; g++ {
-		for off := 1; off < n; off++ {
-			round = append(round, Session{Sender: g, Receiver: (g + off) % n, Region: Region{0, h}})
+	return p, nil
+}
+
+// directSendRound lists every ordered pair of ids as a full-screen session,
+// by ascending sender, then ascending receiver.
+func directSendRound(ids []int, h int) Round {
+	round := make(Round, 0, len(ids)*(len(ids)-1))
+	for _, s := range ids {
+		for _, r := range ids {
+			if s != r {
+				round = append(round, Session{Sender: s, Receiver: r, Region: Region{0, h}})
+			}
 		}
 	}
-	p.Rounds = []Round{round}
-	return p, nil
+	return round
 }
 
 // BinarySwap builds the log2(n)-round pairwise halving plan. n must be a
@@ -293,7 +300,7 @@ func RadixK(n, h, k int) (*Plan, error) {
 	for m := n; m > 1; m /= k {
 		factors = append(factors, k)
 	}
-	p.Rounds, p.Final = radixRounds(n, h, factors)
+	p.Rounds, p.Final = radixRounds(allIDs(n), h, factors)
 	return p, nil
 }
 
@@ -304,25 +311,25 @@ func MixedRadix(n, h int) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Alg: AlgMixedRadix, N: n, Height: h}
-	p.Rounds, p.Final = radixRounds(n, h, factorize(n))
+	p.Rounds, p.Final = radixRounds(allIDs(n), h, factorize(n))
 	return p, nil
 }
 
-// radixRounds generates the grouped direct-send rounds for the given factor
-// sequence and returns them with the final per-GPU regions.
-func radixRounds(n, h int, factors []int) ([]Round, []Region) {
+// allIDs returns the participant list 0..n-1.
+func allIDs(n int) []int {
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
 	}
-	return radixRoundsOver(ids, h, factors)
+	return ids
 }
 
-// radixRoundsOver is radixRounds generalized to an explicit participant list:
-// the schedule is computed over virtual indices 0..len(ids)-1 and each
-// session/region is expressed in terms of the actual GPU ids. This is what
-// lets Repair reuse the mixed-radix machinery over an arbitrary survivor set.
-func radixRoundsOver(ids []int, h int, factors []int) ([]Round, []Region) {
+// radixRounds generates the grouped direct-send rounds for the given factor
+// sequence over the participant list ids and returns them with the final
+// per-participant regions. The schedule is computed over virtual indices
+// 0..len(ids)-1 and each session is expressed in the actual GPU ids, which
+// lets Repair reuse it over an arbitrary survivor set.
+func radixRounds(ids []int, h int, factors []int) ([]Round, []Region) {
 	n := len(ids)
 	lo, hi := fullRegions(n, h)
 	var rounds []Round
@@ -668,17 +675,11 @@ func Repair(p *Plan, live []bool, completedRounds int) (*Plan, error) {
 		return q, nil
 	}
 	if q.OwnerRegions {
-		round := make(Round, 0, m*(m-1))
-		for i, g := range ids {
-			for off := 1; off < m; off++ {
-				round = append(round, Session{Sender: g, Receiver: ids[(i+off)%m], Region: Region{0, p.Height}})
-			}
-		}
-		q.Rounds = []Round{round}
+		q.Rounds = []Round{directSendRound(ids, p.Height)}
 		return q, nil
 	}
 	q.Alg = AlgMixedRadix
-	rounds, fin := radixRoundsOver(ids, p.Height, factorize(m))
+	rounds, fin := radixRounds(ids, p.Height, factorize(m))
 	q.Rounds = rounds
 	for v, g := range ids {
 		q.Final[g] = fin[v]

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestDirectSendShape pins the session order the scheme layer's bookkeeping
-// derives byte-identical traffic from: sender-major, offset-minor.
+// TestDirectSendShape pins the session order the composition scheduler
+// arbitrates in, which CHOPIN's composition cycles depend on: ascending
+// sender, then ascending receiver.
 func TestDirectSendShape(t *testing.T) {
 	p, err := DirectSend(4, 100)
 	if err != nil {
@@ -17,8 +18,8 @@ func TestDirectSendShape(t *testing.T) {
 	}
 	want := []Session{
 		{0, 1, Region{0, 100}}, {0, 2, Region{0, 100}}, {0, 3, Region{0, 100}},
-		{1, 2, Region{0, 100}}, {1, 3, Region{0, 100}}, {1, 0, Region{0, 100}},
-		{2, 3, Region{0, 100}}, {2, 0, Region{0, 100}}, {2, 1, Region{0, 100}},
+		{1, 0, Region{0, 100}}, {1, 2, Region{0, 100}}, {1, 3, Region{0, 100}},
+		{2, 0, Region{0, 100}}, {2, 1, Region{0, 100}}, {2, 3, Region{0, 100}},
 		{3, 0, Region{0, 100}}, {3, 1, Region{0, 100}}, {3, 2, Region{0, 100}},
 	}
 	for i, s := range p.Rounds[0] {

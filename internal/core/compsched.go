@@ -2,141 +2,6 @@ package core
 
 import "fmt"
 
-// Entry is one GPU's row in the image-composition scheduler table, with
-// exactly the fields of the paper's Table I.
-type Entry struct {
-	// CGID is the composition group ID the GPU is currently in.
-	CGID int
-	// Ready is set when the GPU has generated its sub-image and can compose.
-	Ready bool
-	// Receiving is set while the GPU is receiving pixels from another GPU.
-	Receiving bool
-	// Sending is set while the GPU is sending pixels to another GPU.
-	Sending bool
-	// SentGPUs is the bit vector of GPUs this GPU's sub-image has been sent
-	// to.
-	SentGPUs uint64
-	// ReceivedGPUs is the bit vector of GPUs this GPU has composed with.
-	ReceivedGPUs uint64
-}
-
-// Session is a scheduled directed sub-image transfer.
-type Session struct {
-	// Sender transmits the screen region owned by Receiver.
-	Sender, Receiver int
-}
-
-// CompositionScheduler is the centralized image-composition scheduler of
-// paper Section IV-E (Figs. 11–12). It tracks each GPU's composition status
-// and starts a transfer between two GPUs only when both are ready and
-// neither port is busy, avoiding the network congestion of naive
-// direct-send.
-//
-// For an opaque group the exchange is complete when every GPU has sent its
-// sub-image region to every other GPU and received from every other GPU
-// (n·(n−1) directed transfers).
-type CompositionScheduler struct {
-	n       int
-	entries []Entry
-	done    int // GPUs that completed their exchange this group
-}
-
-// NewCompositionScheduler returns a scheduler for n GPUs (n ≤ 64, the bit
-// vector width).
-func NewCompositionScheduler(n int) (*CompositionScheduler, error) {
-	if n < 1 || n > 64 {
-		return nil, fmt.Errorf("core: composition scheduler supports 1–64 GPUs, got %d", n)
-	}
-	return &CompositionScheduler{n: n, entries: make([]Entry, n)}, nil
-}
-
-// Entry returns GPU g's table row (a copy).
-func (cs *CompositionScheduler) Entry(g int) Entry { return cs.entries[g] }
-
-// SetReady marks GPU g ready to compose in group cgid (workflow step Ê of
-// Fig. 12: set Ready, increment CGID).
-func (cs *CompositionScheduler) SetReady(g, cgid int) {
-	e := &cs.entries[g]
-	e.CGID = cgid
-	e.Ready = true
-	e.Receiving = false
-	e.Sending = false
-	e.SentGPUs = 0
-	e.ReceivedGPUs = 0
-}
-
-// canStart reports whether sender s may start transferring to receiver r:
-// both ready in the same group, s's egress and r's ingress free, and the
-// pair not yet composed in this direction (Fig. 12 conditions).
-func (cs *CompositionScheduler) canStart(s, r int) bool {
-	if s == r {
-		return false
-	}
-	es, er := &cs.entries[s], &cs.entries[r]
-	return es.Ready && er.Ready &&
-		es.CGID == er.CGID &&
-		!es.Sending && !er.Receiving &&
-		es.SentGPUs&(1<<uint(r)) == 0
-}
-
-// NextSessions greedily schedules all transfers that may start now, marking
-// the chosen GPUs busy. The scan order is deterministic (ascending sender,
-// then receiver), modelling a fixed-priority hardware arbiter.
-func (cs *CompositionScheduler) NextSessions() []Session {
-	var out []Session
-	for s := 0; s < cs.n; s++ {
-		if cs.entries[s].Sending || !cs.entries[s].Ready {
-			continue
-		}
-		for r := 0; r < cs.n; r++ {
-			if cs.canStart(s, r) {
-				cs.entries[s].Sending = true
-				cs.entries[r].Receiving = true
-				out = append(out, Session{Sender: s, Receiver: r})
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Complete records that the session finished (Fig. 12 step Î): flags clear,
-// bit vectors update, and fully exchanged entries reset (step Ï). Completing
-// a session that was never scheduled is a caller bug and returns an error.
-func (cs *CompositionScheduler) Complete(s Session) error {
-	es, er := &cs.entries[s.Sender], &cs.entries[s.Receiver]
-	if !es.Sending || !er.Receiving {
-		return fmt.Errorf("core: completing unscheduled session %+v", s)
-	}
-	es.Sending = false
-	er.Receiving = false
-	es.SentGPUs |= 1 << uint(s.Receiver)
-	er.ReceivedGPUs |= 1 << uint(s.Sender)
-
-	full := (uint64(1)<<uint(cs.n) - 1)
-	for _, g := range []int{s.Sender, s.Receiver} {
-		e := &cs.entries[g]
-		if e.SentGPUs|1<<uint(g) == full && e.ReceivedGPUs|1<<uint(g) == full {
-			// This GPU has exchanged with everyone: reset its entry.
-			e.Ready = false
-			cs.done++
-		}
-	}
-	return nil
-}
-
-// Done reports whether every GPU has completed its exchange for the current
-// group.
-func (cs *CompositionScheduler) Done() bool { return cs.done == cs.n }
-
-// Reset prepares the scheduler for the next composition group.
-func (cs *CompositionScheduler) Reset() {
-	cs.done = 0
-	for i := range cs.entries {
-		cs.entries[i] = Entry{CGID: cs.entries[i].CGID}
-	}
-}
-
 // Merge is a scheduled transparent sub-image merge: From's accumulated
 // layer is sent to To, who blends it with its own (From is in front when
 // From's range follows To's).

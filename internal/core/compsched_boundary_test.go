@@ -1,99 +1,82 @@
 package core
 
 import (
-	"math"
 	"testing"
+
+	"chopin/internal/composite/plan"
 )
 
 // driveFullExchange runs a full all-pairs exchange through the composition
-// scheduler and returns the number of completed transfers.
-func driveFullExchange(t *testing.T, cs *CompositionScheduler, n int) int {
+// scheduler on an n-GPU direct-send plan, completing one in-flight session
+// at a time in start order, and returns the set of completed transfers.
+func driveFullExchange(t *testing.T, n int) map[[2]int]bool {
 	t.Helper()
+	ps := compScheduler(t, n)
 	for g := 0; g < n; g++ {
-		cs.SetReady(g, 1)
+		ps.SetReady(g)
 	}
-	transfers := 0
-	var inflight []Session
-	for rounds := 0; !cs.Done(); rounds++ {
+	transfers := map[[2]int]bool{}
+	var inflight []plan.Session
+	for rounds := 0; !ps.Done(); rounds++ {
 		if rounds > 4*n*n {
-			t.Fatalf("exchange did not converge after %d transfers", transfers)
+			t.Fatalf("exchange did not converge after %d transfers", len(transfers))
 		}
-		inflight = append(inflight, cs.NextSessions()...)
+		inflight = append(inflight, ps.NextSessions()...)
 		if len(inflight) == 0 {
-			t.Fatalf("deadlock: nothing in flight after %d transfers", transfers)
+			t.Fatalf("deadlock: nothing in flight after %d transfers", len(transfers))
 		}
 		s := inflight[0]
 		inflight = inflight[1:]
-		if err := cs.Complete(s); err != nil {
+		if err := ps.Complete(s); err != nil {
 			t.Fatal(err)
 		}
-		transfers++
+		key := [2]int{s.Sender, s.Receiver}
+		if transfers[key] {
+			t.Fatalf("duplicate transfer %v", key)
+		}
+		transfers[key] = true
 	}
 	return transfers
 }
 
-// TestNewCompositionSchedulerBounds pins the constructor's domain: the
-// Table I bit vectors are 64 bits wide, so 1–64 GPUs are accepted and
-// everything outside errors.
+// TestNewCompositionSchedulerBounds pins the constructor's domain: 1–64
+// GPUs (the width of Table I's GPU vectors) are accepted, and everything
+// outside errors.
 func TestNewCompositionSchedulerBounds(t *testing.T) {
+	if _, err := NewPlanScheduler(nil); err == nil {
+		t.Error("NewPlanScheduler(nil): want error")
+	}
 	for _, n := range []int{-1, 0, 65, 128} {
-		if _, err := NewCompositionScheduler(n); err == nil {
-			t.Errorf("NewCompositionScheduler(%d): want error", n)
+		if _, err := NewPlanScheduler(&plan.Plan{N: n, Height: 16}); err == nil {
+			t.Errorf("NewPlanScheduler(N=%d): want error", n)
 		}
 	}
 	for _, n := range []int{1, 33, 64} {
-		if _, err := NewCompositionScheduler(n); err != nil {
-			t.Errorf("NewCompositionScheduler(%d): %v", n, err)
+		p, err := plan.DirectSend(n, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewPlanScheduler(p); err != nil {
+			t.Errorf("NewPlanScheduler(direct-send %d): %v", n, err)
 		}
 	}
 }
 
 // TestCompositionSchedulerExchange33 crosses the 32-bit boundary: with 33
-// GPUs the status bit vectors need the high word, and the exchange must
-// still complete with exactly n·(n−1) transfers and fully populated
-// SentGPUs/ReceivedGPUs rows.
+// GPUs the candidate bitsets span words, and the exchange must still
+// complete every ordered pair exactly once.
 func TestCompositionSchedulerExchange33(t *testing.T) {
 	const n = 33
-	cs, err := NewCompositionScheduler(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := driveFullExchange(t, cs, n); got != n*(n-1) {
+	if got := len(driveFullExchange(t, n)); got != n*(n-1) {
 		t.Errorf("transfers = %d, want %d", got, n*(n-1))
-	}
-	full := uint64(1)<<n - 1
-	for g := 0; g < n; g++ {
-		e := cs.Entry(g)
-		want := full &^ (1 << uint(g))
-		if e.SentGPUs != want {
-			t.Errorf("GPU %d SentGPUs = %#x, want %#x", g, e.SentGPUs, want)
-		}
-		if e.ReceivedGPUs != want {
-			t.Errorf("GPU %d ReceivedGPUs = %#x, want %#x", g, e.ReceivedGPUs, want)
-		}
 	}
 }
 
-// TestCompositionSchedulerExchange64 saturates the bit vectors: at the
-// 64-GPU limit the full mask is all ones (the 1<<64 wrap must not truncate
-// it) and every row ends with all bits but its own set.
+// TestCompositionSchedulerExchange64 runs the exchange at the 64-GPU limit,
+// where the single direct-send round holds 4032 sessions.
 func TestCompositionSchedulerExchange64(t *testing.T) {
 	const n = 64
-	cs, err := NewCompositionScheduler(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := driveFullExchange(t, cs, n); got != n*(n-1) {
+	if got := len(driveFullExchange(t, n)); got != n*(n-1) {
 		t.Errorf("transfers = %d, want %d", got, n*(n-1))
-	}
-	for g := 0; g < n; g++ {
-		e := cs.Entry(g)
-		want := uint64(math.MaxUint64) &^ (1 << uint(g))
-		if e.SentGPUs != want {
-			t.Errorf("GPU %d SentGPUs = %#x, want %#x", g, e.SentGPUs, want)
-		}
-		if e.ReceivedGPUs != want {
-			t.Errorf("GPU %d ReceivedGPUs = %#x, want %#x", g, e.ReceivedGPUs, want)
-		}
 	}
 }

@@ -16,9 +16,10 @@
 //   - [LeastLoadedScheduler], the draw-command scheduler of Fig. 10, which
 //     tracks scheduled and processed triangle counts per GPU and assigns
 //     each draw to the GPU with the fewest remaining triangles;
-//   - [CompositionScheduler], the image-composition scheduler of Table I
-//     and Figs. 11–12, which pairs up ready GPUs so sub-image exchange
-//     never congests the fabric; and
+//   - [PlanScheduler], the image-composition scheduler of Table I and
+//     Figs. 11–12, which pairs up ready GPUs so sub-image exchange never
+//     congests the fabric, for the paper's direct-send exchange and for the
+//     multi-round plans of package plan alike; and
 //   - [TransparentComposer], the adjacent-merge tracker for transparent
 //     groups.
 //
@@ -157,8 +158,8 @@ type HardwareCost struct {
 	// DrawSchedulerBytes is the draw-command scheduler table: per GPU, two
 	// 64-bit triangle counters.
 	DrawSchedulerBytes int
-	// CompSchedulerBytes is the composition scheduler table: per GPU, a
-	// 1-byte CGID, three 1-bit flags, and two n-bit GPU vectors.
+	// CompSchedulerBytes is the composition scheduler table (Table I): per
+	// GPU, a 1-byte CGID, three 1-bit flags, and two n-bit GPU vectors.
 	CompSchedulerBytes int
 }
 

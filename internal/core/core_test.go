@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
 	"chopin/internal/gpu"
 	"chopin/internal/primitive"
 	"chopin/internal/raster"
@@ -204,46 +206,66 @@ func TestDivideRangePreservesOrderAndBalance(t *testing.T) {
 	}
 }
 
+// compScheduler returns the composition scheduler for an n-GPU
+// direct-send exchange.
+func compScheduler(t *testing.T, n int) *PlanScheduler {
+	t.Helper()
+	p, err := plan.DirectSend(n, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := NewPlanScheduler(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
 func TestCompositionSchedulerFullExchange(t *testing.T) {
 	const n = 4
-	cs, _ := NewCompositionScheduler(n)
-	for g := 0; g < n; g++ {
-		cs.SetReady(g, 1)
+	if got := len(driveFullExchange(t, n)); got != n*(n-1) {
+		t.Errorf("transfers = %d, want %d", got, n*(n-1))
 	}
-	transfers := map[[2]int]bool{}
-	rounds := 0
-	var inflight []Session
-	for !cs.Done() {
-		rounds++
-		if rounds > 100 {
-			t.Fatal("composition did not converge")
-		}
-		sessions := cs.NextSessions()
-		if len(sessions) == 0 && len(inflight) == 0 {
-			t.Fatalf("deadlock: no sessions and nothing in flight (transfers=%d)", len(transfers))
-		}
-		inflight = append(inflight, sessions...)
-		// Complete one in-flight session per iteration, in order.
-		s := inflight[0]
-		inflight = inflight[1:]
-		key := [2]int{s.Sender, s.Receiver}
-		if transfers[key] {
-			t.Fatalf("duplicate transfer %v", key)
-		}
-		transfers[key] = true
-		cs.Complete(s)
+}
+
+// TestCompositionSchedulerArbitrationOrder pins the Fig. 12 fixed-priority
+// arbiter: scanning ascending senders, each free sender takes the
+// lowest-numbered ready receiver whose ingress is free and that it has not
+// yet sent to. With four ready GPUs the first batch is therefore 0→1, 1→0,
+// 2→3, 3→2, and once it drains the second is 0→2, 1→3, 2→0, 3→1. CHOPIN's
+// composition cycles depend on this order.
+func TestCompositionSchedulerArbitrationOrder(t *testing.T) {
+	ps := compScheduler(t, 4)
+	for g := 0; g < 4; g++ {
+		ps.SetReady(g)
 	}
-	if len(transfers) != n*(n-1) {
-		t.Errorf("transfers = %d, want %d", len(transfers), n*(n-1))
+	pairs := func(ss []plan.Session) [][2]int {
+		var out [][2]int
+		for _, s := range ss {
+			out = append(out, [2]int{s.Sender, s.Receiver})
+		}
+		return out
+	}
+	first := ps.NextSessions()
+	if got, want := pairs(first), [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("first batch = %v, want %v", got, want)
+	}
+	for _, s := range first {
+		if err := ps.Complete(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := pairs(ps.NextSessions()), [][2]int{{0, 2}, {1, 3}, {2, 0}, {3, 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("second batch = %v, want %v", got, want)
 	}
 }
 
 func TestCompositionSchedulerPortExclusivity(t *testing.T) {
-	cs, _ := NewCompositionScheduler(4)
+	ps := compScheduler(t, 4)
 	for g := 0; g < 4; g++ {
-		cs.SetReady(g, 1)
+		ps.SetReady(g)
 	}
-	sessions := cs.NextSessions()
+	sessions := ps.NextSessions()
 	sendBusy := map[int]bool{}
 	recvBusy := map[int]bool{}
 	for _, s := range sessions {
@@ -262,63 +284,39 @@ func TestCompositionSchedulerPortExclusivity(t *testing.T) {
 }
 
 func TestCompositionSchedulerRespectsReadiness(t *testing.T) {
-	cs, _ := NewCompositionScheduler(3)
-	cs.SetReady(0, 1)
+	ps := compScheduler(t, 3)
+	ps.SetReady(0)
 	// Only GPU0 ready: nothing can pair.
-	if got := cs.NextSessions(); len(got) != 0 {
+	if got := ps.NextSessions(); len(got) != 0 {
 		t.Errorf("sessions with one ready GPU = %v", got)
 	}
-	cs.SetReady(1, 1)
+	ps.SetReady(1)
 	// Links are full duplex: both directions of the pair start together.
-	got := cs.NextSessions()
+	got := ps.NextSessions()
 	if len(got) != 2 {
 		t.Fatalf("sessions = %v, want both directions", got)
 	}
 	if got[0].Sender != 0 || got[0].Receiver != 1 || got[1].Sender != 1 || got[1].Receiver != 0 {
 		t.Errorf("sessions = %v", got)
 	}
-	cs.Complete(got[0])
-	cs.Complete(got[1])
+	for _, s := range got {
+		if err := ps.Complete(s); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// GPU2 never became ready, so the exchange is not globally done.
-	if cs.Done() {
+	if ps.Done() {
 		t.Error("scheduler done with GPU2 outstanding")
 	}
 }
 
-func TestCompositionSchedulerMismatchedCGID(t *testing.T) {
-	cs, _ := NewCompositionScheduler(2)
-	cs.SetReady(0, 1)
-	cs.SetReady(1, 2) // different group
-	if got := cs.NextSessions(); len(got) != 0 {
-		t.Errorf("cross-group session scheduled: %v", got)
-	}
-}
-
 func TestCompositionSchedulerCompleteUnscheduledErrors(t *testing.T) {
-	cs, _ := NewCompositionScheduler(2)
-	if err := cs.Complete(Session{Sender: 0, Receiver: 1}); err == nil {
+	ps := compScheduler(t, 2)
+	if err := ps.Complete(plan.Session{Sender: 0, Receiver: 1}); err == nil {
 		t.Error("expected error for unscheduled completion")
 	}
-	if _, err := NewCompositionScheduler(0); err == nil {
-		t.Error("expected error for zero GPUs")
-	}
-}
-
-func TestCompositionSchedulerReset(t *testing.T) {
-	cs, _ := NewCompositionScheduler(2)
-	cs.SetReady(0, 1)
-	cs.SetReady(1, 1)
-	for !cs.Done() {
-		for _, s := range cs.NextSessions() {
-			cs.Complete(s)
-		}
-	}
-	cs.Reset()
-	if cs.Done() {
-		t.Error("reset scheduler should not be done")
-	}
-	if e := cs.Entry(0); e.Ready || e.SentGPUs != 0 {
-		t.Errorf("entry after reset = %+v", e)
+	if err := ps.Complete(plan.Session{Sender: 2, Receiver: 0}); err == nil {
+		t.Error("expected error for an out-of-range sender")
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"chopin/internal/composite/plan"
@@ -60,6 +62,144 @@ func TestPlanSchedulerAllPlans(t *testing.T) {
 				continue // planner does not support this n
 			}
 			drivePlan(t, p)
+		}
+	}
+}
+
+// fullScan is the plan scheduler without candidate tracking: every call
+// scans the whole plan in round, then session order.
+type fullScan struct {
+	p                         *plan.Plan
+	ready, sending, receiving []bool
+	round                     []int
+	state                     [][]uint8
+	left                      [][]int
+}
+
+func newFullScan(p *plan.Plan) *fullScan {
+	f := &fullScan{p: p, ready: make([]bool, p.N), sending: make([]bool, p.N),
+		receiving: make([]bool, p.N), round: make([]int, p.N)}
+	for _, round := range p.Rounds {
+		left := make([]int, p.N)
+		for _, s := range round {
+			left[s.Sender]++
+			left[s.Receiver]++
+		}
+		f.state = append(f.state, make([]uint8, len(round)))
+		f.left = append(f.left, left)
+	}
+	return f
+}
+
+func (f *fullScan) advance(g int) {
+	for f.round[g] < len(f.p.Rounds) && f.left[f.round[g]][g] == 0 {
+		f.round[g]++
+	}
+}
+
+func (f *fullScan) setReady(g int) {
+	f.ready[g] = true
+	f.advance(g)
+}
+
+func (f *fullScan) next() []plan.Session {
+	var out []plan.Session
+	for r, round := range f.p.Rounds {
+		for i, s := range round {
+			if f.state[r][i] == 0 && f.round[s.Sender] == r && f.round[s.Receiver] == r &&
+				f.ready[s.Sender] && f.ready[s.Receiver] && !f.sending[s.Sender] && !f.receiving[s.Receiver] {
+				f.state[r][i] = 1
+				f.sending[s.Sender], f.receiving[s.Receiver] = true, true
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}
+
+func (f *fullScan) complete(s plan.Session) {
+	r := f.round[s.Sender]
+	for i, c := range f.p.Rounds[r] {
+		if c.Sender == s.Sender && c.Receiver == s.Receiver && f.state[r][i] == 1 {
+			f.state[r][i] = 2
+			f.sending[s.Sender], f.receiving[s.Receiver] = false, false
+			f.left[r][s.Sender]--
+			f.left[r][s.Receiver]--
+			f.advance(s.Sender)
+			f.advance(s.Receiver)
+			return
+		}
+	}
+}
+
+// TestPlanSchedulerMatchesFullScan drives the scheduler and a whole-plan
+// scan in lockstep through random interleavings of readiness and
+// completions: visiting only the sessions of GPUs whose status changed must
+// start the same sessions in the same order, on every plan shape including
+// a repaired one.
+func TestPlanSchedulerMatchesFullScan(t *testing.T) {
+	const h = 40
+	var plans []*plan.Plan
+	add := func(p *plan.Plan, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	add(plan.DirectSend(6, h))
+	add(plan.BinarySwap(8, h))
+	add(plan.RadixK(16, h, 4))
+	add(plan.MixedRadix(12, h))
+	add(plan.MixedRadix(30, h))
+	bs, err := plan.BinarySwap(16, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]bool, 16)
+	for g := range live {
+		live[g] = g != 3 && g != 9
+	}
+	add(plan.Repair(bs, live, 1))
+
+	for _, p := range plans {
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ps, err := NewPlanScheduler(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newFullScan(p)
+			var order []int
+			for g := 0; g < p.N; g++ {
+				if p.IsLive(g) {
+					order = append(order, g)
+				}
+			}
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			var inflight []plan.Session
+			for steps := 0; !ps.Done(); steps++ {
+				if steps > 4*p.Sessions()+p.N {
+					t.Fatalf("%s n=%d seed %d: stalled", p.Alg, p.N, seed)
+				}
+				if len(order) > 0 && (len(inflight) == 0 || rng.Intn(2) == 0) {
+					ps.SetReady(order[0])
+					ref.setReady(order[0])
+					order = order[1:]
+				} else if len(inflight) > 0 {
+					i := rng.Intn(len(inflight))
+					s := inflight[i]
+					inflight = append(inflight[:i], inflight[i+1:]...)
+					if err := ps.Complete(s); err != nil {
+						t.Fatal(err)
+					}
+					ref.complete(s)
+				}
+				got, want := ps.NextSessions(), ref.next()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s n=%d seed %d: started %v, full scan starts %v", p.Alg, p.N, seed, got, want)
+				}
+				inflight = append(inflight, got...)
+			}
 		}
 	}
 }

@@ -6,44 +6,100 @@ import (
 	"testing/quick"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
 	"chopin/internal/primitive"
 )
 
+// tableI is the paper's composition scheduler written out directly: per-GPU
+// Ready/Sending/Receiving flags and a SentGPUs bit vector (Table I), scanned
+// by ascending sender, then ascending receiver (Fig. 12). It is the
+// reference the plan-driven scheduler must match session for session.
+type tableI struct {
+	ready, sending, receiving []bool
+	sent                      []uint64
+}
+
+func newTableI(n int) *tableI {
+	return &tableI{make([]bool, n), make([]bool, n), make([]bool, n), make([]uint64, n)}
+}
+
+func (a *tableI) next() [][2]int {
+	var out [][2]int
+	n := len(a.ready)
+	for s := 0; s < n; s++ {
+		if !a.ready[s] || a.sending[s] {
+			continue
+		}
+		for r := 0; r < n; r++ {
+			if r != s && a.ready[r] && !a.receiving[r] && a.sent[s]&(1<<uint(r)) == 0 {
+				a.sending[s], a.receiving[r] = true, true
+				out = append(out, [2]int{s, r})
+				break
+			}
+		}
+	}
+	return out
+}
+
+func (a *tableI) complete(s, r int) {
+	a.sending[s], a.receiving[r] = false, false
+	a.sent[s] |= 1 << uint(r)
+}
+
 // TestQuickCompositionSchedulerConverges: for any GPU count and any order
-// of readiness and session completions, the scheduler performs exactly
-// n·(n−1) directed transfers, never double-books a port, and terminates.
+// of readiness and session completions, the scheduler on a direct-send plan
+// starts exactly the sessions the Table I arbiter starts, in the same order,
+// and terminates after n·(n−1) directed transfers.
 func TestQuickCompositionSchedulerConverges(t *testing.T) {
 	f := func(nRaw uint8, seed int64) bool {
 		n := 2 + int(nRaw)%15
 		rng := rand.New(rand.NewSource(seed))
-		cs, _ := NewCompositionScheduler(n)
+		p, err := plan.DirectSend(n, 16)
+		if err != nil {
+			return false
+		}
+		ps, err := NewPlanScheduler(p)
+		if err != nil {
+			return false
+		}
+		ref := newTableI(n)
 
 		readyOrder := rng.Perm(n)
 		readyIdx := 0
-		var inflight []Session
-		transfers := map[[2]int]bool{}
-		for steps := 0; !cs.Done(); steps++ {
+		var inflight []plan.Session
+		transfers := 0
+		for steps := 0; !ps.Done(); steps++ {
 			if steps > 10000 {
 				return false // livelock
 			}
 			// Randomly interleave readiness events and completions.
 			if readyIdx < n && (len(inflight) == 0 || rng.Intn(2) == 0) {
-				cs.SetReady(readyOrder[readyIdx], 1)
+				g := readyOrder[readyIdx]
 				readyIdx++
+				ps.SetReady(g)
+				ref.ready[g] = true
 			} else if len(inflight) > 0 {
 				i := rng.Intn(len(inflight))
 				s := inflight[i]
 				inflight = append(inflight[:i], inflight[i+1:]...)
-				key := [2]int{s.Sender, s.Receiver}
-				if transfers[key] {
-					return false // duplicate directed transfer
+				if ps.Complete(s) != nil {
+					return false
 				}
-				transfers[key] = true
-				cs.Complete(s)
+				ref.complete(s.Sender, s.Receiver)
+				transfers++
 			}
-			inflight = append(inflight, cs.NextSessions()...)
+			batch, want := ps.NextSessions(), ref.next()
+			if len(batch) != len(want) {
+				return false
+			}
+			for i, s := range batch {
+				if [2]int{s.Sender, s.Receiver} != want[i] {
+					return false
+				}
+			}
+			inflight = append(inflight, batch...)
 		}
-		return len(transfers) == n*(n-1)
+		return transfers == n*(n-1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

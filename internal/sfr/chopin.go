@@ -2,6 +2,7 @@ package sfr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"chopin/internal/colorspace"
@@ -68,11 +69,10 @@ type chopinRun struct {
 
 	sched core.DrawScheduler
 	ll    *core.LeastLoadedScheduler // non-nil when the Fig. 10 scheduler is used
-	cs    *core.CompositionScheduler // non-nil when the Fig. 11 scheduler is used
 
-	// compPlan is non-nil when Config.CompAlg resolved to a non-direct-send
-	// exchange plan: opaque groups then run the plan executor instead of the
-	// paper's owner-addressed direct send.
+	// compPlan is the exchange Config.CompAlg resolved to (nil on one GPU).
+	// Opaque groups run the paper's owner-addressed direct send on a
+	// direct-send plan and the plan executor on any other.
 	compPlan *plan.Plan
 	// curPex is the live plan executor while an opaque group composes via
 	// compPlan, so a fail-stop detected mid-plan excludes the GPU from the
@@ -80,10 +80,9 @@ type chopinRun struct {
 	// checkpoint.
 	curPex *planExec
 
-	steps   []core.Step
-	stepIdx int    // 1-based index of the executing step (scheduler epoch)
-	next    func() // advances the step sequence
-	prevRT  int
+	steps  []core.Step
+	next   func() // advances the step sequence
+	prevRT int
 
 	// cumDirty[g][rt] records owned tiles of g ever dirtied, surviving the
 	// per-group ClearDirty, for consistency-sync payloads.
@@ -118,24 +117,15 @@ func (c CHOPIN) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStat
 		r.ll = core.NewLeastLoaded(sys.GPUs, sys.Cfg.SchedulerQuantum, sys.Cfg.Link.LatencyCycles)
 		r.sched = r.ll
 	}
-	if sys.Cfg.UseCompScheduler {
-		cs, err := core.NewCompositionScheduler(r.n)
-		if err != nil {
-			return nil, err
-		}
-		r.cs = cs
-	}
-	if alg := sys.Cfg.CompAlg; alg != plan.AlgDirectSend && r.n > 1 {
+	if r.n > 1 {
 		// Opaque depth merge is commutative and associative, so every
 		// planner is legal; Auto picks per group size and fabric diameter.
-		p, err := plan.For(alg, r.n, sys.Height(), sys.Cfg.RadixK,
+		p, err := plan.For(sys.Cfg.CompAlg, r.n, sys.Height(), sys.Cfg.RadixK,
 			plan.AssocCommutative, sys.Fabric.Diameter())
 		if err != nil {
 			return nil, err
 		}
-		if p.Alg != plan.AlgDirectSend {
-			r.compPlan = p
-		}
+		r.compPlan = p
 	}
 	r.steps = core.Plan(fr.Draws, sys.Cfg.GroupThreshold)
 	if r.n == 1 {
@@ -327,7 +317,6 @@ func (r *chopinRun) step(i int, next func()) {
 		r.recoverFailed(len(r.fr.Draws), next)
 		return
 	}
-	r.stepIdx = i + 1
 	step := r.steps[i]
 	rt := r.fr.Draws[step.Group.Start].State.RenderTarget
 	r.touchedRTs[rt] = true
@@ -411,6 +400,23 @@ func (r *chopinRun) duplicateGroup(grp primitive.Group, rt int) {
 	})
 }
 
+// staggered splits a direct-send plan's sessions by sender, each rotated to
+// start after the sender itself: naive sender g issues to g+1, g+2, … mod n
+// at once, so the senders do not all address GPU 0 first.
+func staggered(p *plan.Plan) [][]plan.Session {
+	rows := make([][]plan.Session, p.N)
+	for _, round := range p.Rounds {
+		for _, s := range round {
+			rows[s.Sender] = append(rows[s.Sender], s)
+		}
+	}
+	for g, row := range rows {
+		k := sort.Search(len(row), func(i int) bool { return row[i].Receiver > g })
+		rows[g] = slices.Concat(row[k:], row[:k])
+	}
+	return rows
+}
+
 // opaqueGroup distributes draws across GPUs and composes the sub-images
 // out-of-order (Fig. 7 steps Ï–Ð).
 func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
@@ -438,15 +444,12 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 	readyCount := 0
 	driverDone := false
 
-	cs := r.cs
-	if cs != nil {
-		cs.Reset()
-	}
-
-	// A configured exchange plan supersedes both the composition scheduler
-	// and the naive direct send for this group (pex is assigned below;
-	// groupEnd closes over it).
+	// A multi-round plan runs on the plan executor (pex is assigned below;
+	// groupEnd closes over it). Direct send runs here, arbitrated by the
+	// composition scheduler (ps) under Config.UseCompScheduler and naive
+	// otherwise.
 	var pex *planExec
+	var ps *core.PlanScheduler
 
 	groupEnd := func() {
 		marks := []exec.Mark{{Tag: stats.PhaseNormal, At: tAllReady}}
@@ -462,7 +465,10 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 		r.next()
 	}
 
-	if r.compPlan != nil {
+	var naiveSessions [][]plan.Session
+	naiveRemaining := 0
+	switch {
+	case r.compPlan.Alg != plan.AlgDirectSend:
 		var err error
 		pex, err = newPlanExec(r, rt, mergeCmp, groupEnd)
 		if err != nil {
@@ -471,23 +477,16 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 		}
 		r.curPex = pex
 		r.ex.SetPlanState(pex.planState)
-	}
-
-	// Naive direct-send bookkeeping derives from the enumerated session
-	// list — one round, all ordered pairs, each sender walking receivers in
-	// (g+1, g+2, … mod n) order, the same wire order as always — so the
-	// group completes when every actually scheduled session has drained
-	// rather than when a hardwired n·(n−1) counter hits zero.
-	var naiveSessions [][]core.Session
-	naiveRemaining := 0
-	if cs == nil && pex == nil {
-		naiveSessions = make([][]core.Session, r.n)
-		for g := range naiveSessions {
-			for off := 1; off < r.n; off++ {
-				naiveSessions[g] = append(naiveSessions[g], core.Session{Sender: g, Receiver: (g + off) % r.n})
-			}
-			naiveRemaining += len(naiveSessions[g])
+	case r.sys.Cfg.UseCompScheduler:
+		var err error
+		ps, err = core.NewPlanScheduler(r.compPlan)
+		if err != nil {
+			r.ex.Fail(err)
+			return
 		}
+	default:
+		naiveSessions = staggered(r.compPlan)
+		naiveRemaining = r.compPlan.Sessions()
 	}
 
 	// region computes the transfer payload sender→receiver: sender's tiles
@@ -514,18 +513,18 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 	// The group completes when all sessions AND all merges are done.
 	pendingMerges := 0
 	maybeGroupEnd := func() {
-		if cs.Done() && pendingMerges == 0 {
+		if ps.Done() && pendingMerges == 0 {
 			groupEnd()
 		}
 	}
 	var pumpScheduled func()
 	pumpScheduled = func() {
-		for _, s := range cs.NextSessions() {
+		for _, s := range ps.NextSessions() {
 			s := s
 			tiles, px := region(s.Sender, s.Receiver)
 			if px == 0 {
 				eng.After(0, func() {
-					if err := cs.Complete(s); err != nil {
+					if err := ps.Complete(s); err != nil {
 						r.ex.Fail(err)
 						return
 					}
@@ -537,7 +536,7 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 			pendingMerges++
 			bytes := int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
 			r.sys.Fabric.Send(s.Sender, s.Receiver, bytes, interconnect.ClassComposition, func() {
-				if err := cs.Complete(s); err != nil {
+				if err := ps.Complete(s); err != nil {
 					r.ex.Fail(err)
 					return
 				}
@@ -584,8 +583,8 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 		switch {
 		case pex != nil:
 			pex.setReady(g)
-		case cs != nil:
-			cs.SetReady(g, r.stepIdx)
+		case ps != nil:
+			ps.SetReady(g)
 			pumpScheduled()
 		default:
 			naiveSend(g)

@@ -2,8 +2,10 @@ package sfr
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"chopin/internal/composite/plan"
 	"chopin/internal/exec"
 	"chopin/internal/multigpu"
 	"chopin/internal/primitive"
@@ -298,6 +300,29 @@ func TestCompSchedulerHelpsOrEqual(t *testing.T) {
 	// Allow a small tolerance: at tiny scales scheduling noise can flip.
 	if float64(a.TotalCycles) > 1.10*float64(b.TotalCycles) {
 		t.Errorf("comp scheduler hurt: with=%d without=%d", a.TotalCycles, b.TotalCycles)
+	}
+}
+
+// TestNaiveDirectSendStagger pins the order naive direct send issues each
+// sender's sessions in — g+1, g+2, … mod n — which CHOPIN-without-scheduler
+// cycles depend on but the goldens' three-decimal speedups do not resolve.
+func TestNaiveDirectSendStagger(t *testing.T) {
+	p, err := plan.DirectSend(4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{1, 2, 3}, {2, 3, 0}, {3, 0, 1}, {0, 1, 2}}
+	for g, row := range staggered(p) {
+		var got []int
+		for _, s := range row {
+			if s.Sender != g {
+				t.Fatalf("sender %d's row holds %+v", g, s)
+			}
+			got = append(got, s.Receiver)
+		}
+		if !reflect.DeepEqual(got, want[g]) {
+			t.Errorf("sender %d issues to %v, want %v", g, got, want[g])
+		}
 	}
 }
 
