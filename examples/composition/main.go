@@ -1,10 +1,11 @@
 // Composition: use the parallel image-composition library standalone, the
 // way a scientific-visualization cluster would (paper Section II-D).
 //
-// Eight "GPUs" each render a slice of a synthetic particle volume into
-// their own full-screen sub-image; the example then composes the
-// sub-images with direct-send, binary-swap, and radix-k, verifies all
-// three produce the identical image, and compares their communication
+// Sixteen "GPUs" each render a slice of a synthetic particle volume into
+// their own full-screen sub-image. The example builds the direct-send,
+// binary-swap and radix-k (k=4) exchange plans the simulator runs,
+// executes each on the sub-images with composite.Exchange, verifies all
+// three produce the reference image, and compares their communication
 // costs — the trade-off CHOPIN's composition scheduler navigates.
 package main
 
@@ -15,6 +16,7 @@ import (
 
 	"chopin/internal/colorspace"
 	"chopin/internal/composite"
+	"chopin/internal/composite/plan"
 	"chopin/internal/framebuffer"
 )
 
@@ -64,23 +66,21 @@ func main() {
 
 	type algo struct {
 		name string
-		run  func() (*framebuffer.Buffer, composite.Traffic, error)
+		plan func() (*plan.Plan, error)
 	}
 	algos := []algo{
-		{"direct-send", func() (*framebuffer.Buffer, composite.Traffic, error) {
-			img, tr := composite.DirectSend(subs, colorspace.CmpLess)
-			return img, tr, nil
-		}},
-		{"binary-swap", func() (*framebuffer.Buffer, composite.Traffic, error) {
-			return composite.BinarySwap(subs, colorspace.CmpLess)
-		}},
-		{"radix-k (k=4)", func() (*framebuffer.Buffer, composite.Traffic, error) {
-			return composite.RadixK(subs, colorspace.CmpLess, 4)
-		}},
+		{"direct-send", func() (*plan.Plan, error) { return plan.DirectSend(gpus, height) }},
+		{"binary-swap", func() (*plan.Plan, error) { return plan.BinarySwap(gpus, height) }},
+		{"radix-k (k=4)", func() (*plan.Plan, error) { return plan.RadixK(gpus, height, 4) }},
 	}
 	fmt.Printf("%-14s %8s %10s %8s %8s\n", "algorithm", "rounds", "messages", "MB", "correct")
 	for _, a := range algos {
-		img, tr, err := a.run()
+		p, err := a.plan()
+		var img *framebuffer.Buffer
+		var tr composite.Traffic
+		if err == nil {
+			img, tr, err = composite.Exchange(p, subs, colorspace.CmpLess)
+		}
 		if err != nil {
 			fmt.Printf("%-14s failed: %v\n", a.name, err)
 			os.Exit(1)

@@ -13,20 +13,23 @@
 //     any grouping ([ChainCompose], [TreeCompose]). CHOPIN exploits exactly
 //     this property.
 //
-// The package also provides the classic communication schedules from the
-// parallel-rendering literature — direct-send, binary-swap and radix-k —
-// with per-message traffic accounting, both as comparison baselines and as a
-// standalone composition library.
+// [Exchange] executes any exchange plan from package plan (direct-send,
+// binary-swap, radix-k, mixed-radix, or a repaired survivor plan) on real
+// sub-images, with per-message traffic accounting. The planners are the one
+// definition of each schedule: the simulator plays the same plans over its
+// timed fabric, and Exchange is their standalone library form and the
+// image-level oracle they are tested against.
 package composite
 
 import (
 	"fmt"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
 	"chopin/internal/framebuffer"
 )
 
-// Traffic accumulates the communication cost of a composition schedule.
+// Traffic is the communication cost of an exchange.
 type Traffic struct {
 	// Messages is the number of point-to-point transfers.
 	Messages int
@@ -35,14 +38,6 @@ type Traffic struct {
 	// Rounds is the number of communication rounds (the critical-path
 	// length of the schedule).
 	Rounds int
-}
-
-// Add accumulates o into t, taking the max of rounds (schedules compose in
-// parallel across pairs within a round).
-func (t *Traffic) Add(o Traffic) {
-	t.Messages += o.Messages
-	t.Bytes += o.Bytes
-	t.Rounds += o.Rounds
 }
 
 // DepthMerge composes src into dst over the given tiles by keeping, per
@@ -152,238 +147,91 @@ func DepthReference(subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) *fra
 	return acc
 }
 
-// DirectSend runs the direct-send schedule (paper Section II-D): every GPU
-// sends each screen region directly to that region's owner, and each owner
-// composes the incoming sub-images for its tiles. Ownership is the standard
-// round-robin tile interleave. The assembled full image and the traffic are
-// returned; the input sub-images are not modified.
+// Exchange composes the per-GPU sub-images subs by playing the exchange
+// plan p round by round with the merges the simulator's plan executor
+// applies, and returns the assembled image with the plan's traffic. p must
+// pass plan.Check; subs[g] may be nil for a GPU outside p's live set. The
+// input sub-images are not modified.
 //
-// Direct-send completes in one logical round but issues N·(N−1) messages,
-// which is what congests the network at scale — the problem CHOPIN's
-// composition scheduler addresses.
-func DirectSend(subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) (*framebuffer.Buffer, Traffic) {
-	n := len(subs)
-	if n == 0 {
-		return nil, Traffic{}
+// Row-region sessions depth-merge the sender's current rows into the
+// receiver ([DepthMergeRegion]) and are charged their whole region at
+// OpaqueCompositionBytesPerPixel, as the fabric carries them. Every other
+// live GPU then sends its Final rows to the display GPU (the lowest live
+// id): one extra round of colour-only messages.
+//
+// Direct-send (OwnerRegions) sessions merge the sender's dirty tiles among
+// the receiver's owned tiles ([DepthMerge]) and are charged only when
+// pixels move. The composed image then already sits with its tile owners,
+// so assembling it is free.
+func Exchange(p *plan.Plan, subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) (*framebuffer.Buffer, Traffic, error) {
+	if len(subs) != p.N {
+		return nil, Traffic{}, fmt.Errorf("composite: a %d-GPU plan given %d sub-images", p.N, len(subs))
 	}
-	result := subs[0].Clone()
-	tr := Traffic{Rounds: 1}
-	for owner := 0; owner < n; owner++ {
-		tiles := framebuffer.OwnedTiles(subs[0].TilesX(), subs[0].TilesY(), n, owner)
-		for src := 0; src < n; src++ {
-			if src == 0 {
-				continue // result starts as sub-image 0
-			}
-			px := DepthMerge(result, subs[src], cmp, tiles)
-			if px > 0 {
+	work := make([]*framebuffer.Buffer, p.N)
+	display := -1
+	for g, s := range subs {
+		if !p.IsLive(g) {
+			continue
+		}
+		if s == nil || s.Height() != p.Height {
+			return nil, Traffic{}, fmt.Errorf("composite: GPU %d's sub-image does not match the plan's %d-row screen", g, p.Height)
+		}
+		if display < 0 {
+			display = g
+		}
+		work[g] = s.Clone()
+	}
+	if display < 0 {
+		return nil, Traffic{}, fmt.Errorf("composite: plan has no live GPUs")
+	}
+	w := work[display].Width()
+	var owned [][]int
+	if p.OwnerRegions {
+		owned = make([][]int, p.N)
+		for g := range owned {
+			owned[g] = framebuffer.OwnedTiles(work[display].TilesX(), work[display].TilesY(), p.N, g)
+		}
+	}
+	tr := Traffic{Rounds: len(p.Rounds)}
+	for _, round := range p.Rounds {
+		for _, s := range round {
+			dst, src := work[s.Receiver], work[s.Sender]
+			if p.OwnerRegions {
+				if px := DepthMerge(dst, src, cmp, owned[s.Receiver]); px > 0 {
+					tr.Messages++
+					tr.Bytes += int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
+				}
+			} else if rows := s.Region.Rows(); rows > 0 {
+				DepthMergeRegion(dst, src, cmp, s.Region.Lo, s.Region.Hi, nil)
 				tr.Messages++
-				tr.Bytes += int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
+				tr.Bytes += int64(rows*w) * framebuffer.OpaqueCompositionBytesPerPixel
 			}
 		}
 	}
-	return result, tr
-}
 
-// BinarySwap runs the binary-swap schedule: in log2(N) rounds, pairs of GPUs
-// exchange complementary halves of their current region and compose what
-// they receive, so every GPU ends owning 1/N of the fully composed image,
-// which is then gathered. N must be a power of two.
-func BinarySwap(subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) (*framebuffer.Buffer, Traffic, error) {
-	n := len(subs)
-	if n == 0 {
-		return nil, Traffic{}, nil
-	}
-	if n&(n-1) != 0 {
-		return nil, Traffic{}, fmt.Errorf("composite: BinarySwap requires a power-of-two GPU count, got %d", n)
-	}
-	// Work on scanline ranges [lo, hi) per GPU; each buffer accumulates the
-	// composition of its current range.
-	work := make([]*framebuffer.Buffer, n)
-	for i, s := range subs {
-		work[i] = s.Clone()
-	}
-	h := subs[0].Height()
-	lo := make([]int, n)
-	hi := make([]int, n)
-	for i := range hi {
-		hi[i] = h
-	}
-	var tr Traffic
-	for stride := 1; stride < n; stride *= 2 {
-		tr.Rounds++
-		for g := 0; g < n; g++ {
-			peer := g ^ stride
-			if peer < g {
-				continue // handle each pair once
-			}
-			// Split the (identical) current range between the pair: g keeps
-			// the top half, peer keeps the bottom half; each sends the other
-			// half to its partner, who composes it.
-			mid := (lo[g] + hi[g]) / 2
-			px := DepthMergeRows(work[g], work[peer], cmp, lo[g], mid)
-			tr.Messages++
-			tr.Bytes += int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
-			px = DepthMergeRows(work[peer], work[g], cmp, mid, hi[g])
-			tr.Messages++
-			tr.Bytes += int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
-			hi[g] = mid
-			lo[peer] = mid
-		}
-	}
-	// Gather: every GPU contributes its final range to the display GPU.
-	result := work[0].Clone()
-	tr.Rounds++
-	for g := 1; g < n; g++ {
-		px := copyRows(result, work[g], lo[g], hi[g])
-		tr.Messages++
-		tr.Bytes += int64(px) * framebuffer.ColorBytesPerPixel
-	}
-	return result, tr, nil
-}
-
-// RadixK runs the radix-k schedule: GPUs are grouped into k-sized groups
-// that run direct-send internally over log_k(N) rounds, generalizing
-// binary-swap (k=2) and direct-send (k=N). N must be a power of k.
-func RadixK(subs []*framebuffer.Buffer, cmp colorspace.CompareFunc, k int) (*framebuffer.Buffer, Traffic, error) {
-	n := len(subs)
-	if n == 0 {
-		return nil, Traffic{}, nil
-	}
-	if k < 2 {
-		return nil, Traffic{}, fmt.Errorf("composite: RadixK requires k >= 2, got %d", k)
-	}
-	for m := n; m > 1; m /= k {
-		if m%k != 0 {
-			return nil, Traffic{}, fmt.Errorf("composite: RadixK requires the GPU count (%d) to be a power of k (%d)", n, k)
-		}
-	}
-	work := make([]*framebuffer.Buffer, n)
-	for i, s := range subs {
-		work[i] = s.Clone()
-	}
-	h := subs[0].Height()
-	lo := make([]int, n)
-	hi := make([]int, n)
-	for i := range hi {
-		hi[i] = h
-	}
-	var tr Traffic
-	for stride := 1; stride < n; stride *= k {
-		tr.Rounds++
-		for base := 0; base < n; base++ {
-			if (base/stride)%k != 0 {
+	result := work[display].Clone()
+	if p.OwnerRegions {
+		for g, tiles := range owned {
+			if g == display {
 				continue
 			}
-			// The group is base, base+stride, ..., base+(k-1)*stride, all
-			// sharing the same current range. Split it k ways; member j
-			// keeps piece j and receives that piece from the others.
-			members := make([]int, k)
-			for j := range members {
-				members[j] = base + j*stride
-			}
-			l, r := lo[base], hi[base]
-			for j, m := range members {
-				p0 := l + (r-l)*j/k
-				p1 := l + (r-l)*(j+1)/k
-				for _, o := range members {
-					if o == m {
-						continue
-					}
-					px := DepthMergeRows(work[m], work[o], cmp, p0, p1)
-					tr.Messages++
-					tr.Bytes += int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
-				}
-				lo[m], hi[m] = p0, p1
+			for _, tl := range tiles {
+				x0, y0, x1, y1 := result.TileRect(tl)
+				copyRect(result, work[g], x0, y0, x1, y1)
 			}
 		}
+		return result, tr, nil
 	}
-	result := work[0].Clone()
 	tr.Rounds++
-	for g := 1; g < n; g++ {
-		px := copyRows(result, work[g], lo[g], hi[g])
+	for g, fr := range p.Final {
+		if g == display || fr.Empty() {
+			continue
+		}
+		copyRect(result, work[g], 0, fr.Lo, w, fr.Hi)
 		tr.Messages++
-		tr.Bytes += int64(px) * framebuffer.ColorBytesPerPixel
+		tr.Bytes += int64(fr.Rows()*w) * framebuffer.ColorBytesPerPixel
 	}
 	return result, tr, nil
-}
-
-// MixedRadix runs a multi-round schedule for ARBITRARY GPU counts, in the
-// spirit of 2-3 swap (Yu et al., SC'08, the paper's reference [68]): the
-// GPU count is factorized, and each round runs radix-k direct-send inside
-// groups sized by one prime factor. Powers of two reduce to binary-swap;
-// any other count works without padding or idle GPUs.
-//
-// The error return exists for contract symmetry with BinarySwap and RadixK
-// (callers select schedules dynamically and handle one shape); mixed-radix
-// itself accepts any positive count.
-func MixedRadix(subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) (*framebuffer.Buffer, Traffic, error) {
-	n := len(subs)
-	if n == 0 {
-		return nil, Traffic{}, nil
-	}
-	factors := factorize(n)
-	work := make([]*framebuffer.Buffer, n)
-	for i, s := range subs {
-		work[i] = s.Clone()
-	}
-	h := subs[0].Height()
-	lo := make([]int, n)
-	hi := make([]int, n)
-	for i := range hi {
-		hi[i] = h
-	}
-	var tr Traffic
-	stride := 1
-	for _, k := range factors {
-		tr.Rounds++
-		for base := 0; base < n; base++ {
-			if (base/stride)%k != 0 {
-				continue
-			}
-			members := make([]int, k)
-			for j := range members {
-				members[j] = base + j*stride
-			}
-			l, r := lo[base], hi[base]
-			for j, m := range members {
-				p0 := l + (r-l)*j/k
-				p1 := l + (r-l)*(j+1)/k
-				for _, o := range members {
-					if o == m {
-						continue
-					}
-					px := DepthMergeRows(work[m], work[o], cmp, p0, p1)
-					tr.Messages++
-					tr.Bytes += int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
-				}
-				lo[m], hi[m] = p0, p1
-			}
-		}
-		stride *= k
-	}
-	result := work[0].Clone()
-	tr.Rounds++
-	for g := 1; g < n; g++ {
-		px := copyRows(result, work[g], lo[g], hi[g])
-		tr.Messages++
-		tr.Bytes += int64(px) * framebuffer.ColorBytesPerPixel
-	}
-	return result, tr, nil
-}
-
-// factorize returns n's prime factors in ascending order.
-func factorize(n int) []int {
-	var out []int
-	for f := 2; f*f <= n; f++ {
-		for n%f == 0 {
-			out = append(out, f)
-			n /= f
-		}
-	}
-	if n > 1 {
-		out = append(out, n)
-	}
-	return out
 }
 
 // DepthMergeRegion composes src into dst over rows [y0, y1), restricted to
@@ -419,31 +267,12 @@ func DepthMergeRegion(dst, src *framebuffer.Buffer, cmp colorspace.CompareFunc, 
 	return pixels
 }
 
-// DepthMergeRows depth-merges rows [y0, y1) of src into dst — the
-// row-region merge primitive of the swap schedules, exported for the scheme
-// layer's exchange-plan executor — and returns the pixel count of the
-// region.
-func DepthMergeRows(dst, src *framebuffer.Buffer, cmp colorspace.CompareFunc, y0, y1 int) int {
-	w := dst.Width()
+// copyRect copies the rectangle [x0, x1) × [y0, y1) of src into dst.
+func copyRect(dst, src *framebuffer.Buffer, x0, y0, x1, y1 int) {
 	for y := y0; y < y1; y++ {
-		for x := 0; x < w; x++ {
-			if colorspace.Compare(cmp, src.DepthAt(x, y), dst.DepthAt(x, y)) {
-				dst.Set(x, y, src.At(x, y))
-				dst.SetDepth(x, y, src.DepthAt(x, y))
-			}
-		}
-	}
-	return (y1 - y0) * w
-}
-
-// copyRows copies rows [y0, y1) of src into dst and returns the pixel count.
-func copyRows(dst, src *framebuffer.Buffer, y0, y1 int) int {
-	w := dst.Width()
-	for y := y0; y < y1; y++ {
-		for x := 0; x < w; x++ {
+		for x := x0; x < x1; x++ {
 			dst.Set(x, y, src.At(x, y))
 			dst.SetDepth(x, y, src.DepthAt(x, y))
 		}
 	}
-	return (y1 - y0) * w
 }

@@ -5,8 +5,24 @@ import (
 	"testing"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
 	"chopin/internal/framebuffer"
 )
+
+// exchange builds the alg plan (radix k for radix-k) for len(subs) GPUs and
+// plays it on subs with Exchange.
+func exchange(t *testing.T, alg plan.Algorithm, k int, subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) (*framebuffer.Buffer, Traffic) {
+	t.Helper()
+	p, err := plan.For(alg, len(subs), subs[0].Height(), k, plan.AssocCommutative, 1)
+	if err != nil {
+		t.Fatalf("%s n=%d k=%d: %v", alg, len(subs), k, err)
+	}
+	img, tr, err := Exchange(p, subs, cmp)
+	if err != nil {
+		t.Fatalf("%s n=%d k=%d: exchange: %v", alg, len(subs), k, err)
+	}
+	return img, tr
+}
 
 // randomSubImages builds n full-screen sub-images with random opaque content
 // at random depths, as if each GPU had rendered a disjoint subset of draws.
@@ -174,15 +190,12 @@ func TestComposeEmptyInputs(t *testing.T) {
 	if DepthReference(nil, colorspace.CmpLess) != nil {
 		t.Error("DepthReference(nil) should be nil")
 	}
-	if r, _ := DirectSend(nil, colorspace.CmpLess); r != nil {
-		t.Error("DirectSend(nil) should be nil")
-	}
 }
 
 func TestDirectSendMatchesReference(t *testing.T) {
 	subs := randomSubImages(t, 8, 128, 96, 11)
 	ref := DepthReference(subs, colorspace.CmpLess)
-	got, tr := DirectSend(subs, colorspace.CmpLess)
+	got, tr := exchange(t, plan.AlgDirectSend, 0, subs, colorspace.CmpLess)
 	if !got.Equal(ref, 0) {
 		t.Fatalf("direct-send differs from reference in %d pixels", got.DiffCount(ref, 0))
 	}
@@ -198,14 +211,38 @@ func TestDirectSendMatchesReference(t *testing.T) {
 	}
 }
 
+// TestExchangeDirectSendTraffic pins direct-send's accounting on sparse
+// input: only tiles that hold content and belong to another GPU move. On a
+// 256×128 screen (4×2 tiles) with 4 GPUs, GPU 0 draws only in tile 1
+// (owned by GPU 1) and GPU 2 only in its own tiles 2 and 6, so the whole
+// exchange is one 4096-pixel message 0→1.
+func TestExchangeDirectSendTraffic(t *testing.T) {
+	subs := make([]*framebuffer.Buffer, 4)
+	for g := range subs {
+		subs[g] = framebuffer.MustNew(256, 128)
+		subs[g].ClearDirty()
+	}
+	draw := func(b *framebuffer.Buffer, x, y int, d float64) {
+		b.Set(x, y, colorspace.Opaque(d, 1-d, 0.5))
+		b.SetDepth(x, y, d)
+	}
+	draw(subs[0], 70, 10, 0.3)  // tile 1
+	draw(subs[2], 130, 20, 0.4) // tile 2
+	draw(subs[2], 140, 90, 0.5) // tile 6
+	got, tr := exchange(t, plan.AlgDirectSend, 0, subs, colorspace.CmpLess)
+	if want := (Traffic{Messages: 1, Bytes: 4096 * framebuffer.OpaqueCompositionBytesPerPixel, Rounds: 1}); tr != want {
+		t.Errorf("traffic = %+v, want %+v", tr, want)
+	}
+	if ref := DepthReference(subs, colorspace.CmpLess); !got.Equal(ref, 0) {
+		t.Errorf("direct-send differs from reference in %d pixels", got.DiffCount(ref, 0))
+	}
+}
+
 func TestBinarySwapMatchesReference(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		subs := randomSubImages(t, n, 64, 64, int64(20+n))
 		ref := DepthReference(subs, colorspace.CmpLess)
-		got, tr, err := BinarySwap(subs, colorspace.CmpLess)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, tr := exchange(t, plan.AlgBinarySwap, 0, subs, colorspace.CmpLess)
 		if !got.Equal(ref, 0) {
 			t.Fatalf("n=%d: binary-swap differs in %d pixels", n, got.DiffCount(ref, 0))
 		}
@@ -219,43 +256,62 @@ func TestBinarySwapMatchesReference(t *testing.T) {
 	}
 }
 
-func TestBinarySwapRequiresPowerOfTwo(t *testing.T) {
-	if _, _, err := BinarySwap(randomSubImages(t, 3, 32, 32, 1), colorspace.CmpLess); err == nil {
-		t.Error("expected error for n=3")
-	}
-}
-
 func TestRadixKMatchesReference(t *testing.T) {
 	cases := []struct{ n, k int }{{4, 2}, {8, 2}, {9, 3}, {4, 4}, {8, 8}}
 	for _, c := range cases {
 		subs := randomSubImages(t, c.n, 64, 64, int64(30+c.n*c.k))
 		ref := DepthReference(subs, colorspace.CmpLess)
-		got, _, err := RadixK(subs, colorspace.CmpLess, c.k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := exchange(t, plan.AlgRadixK, c.k, subs, colorspace.CmpLess)
 		if !got.Equal(ref, 0) {
 			t.Fatalf("n=%d k=%d: radix-k differs in %d pixels", c.n, c.k, got.DiffCount(ref, 0))
 		}
 	}
 }
 
+// TestRadixKDegenerateCases covers radix-k at its edges: k = n (a prime
+// count, one direct-send-shaped round of row regions, equal to mixed-radix)
+// and a single GPU (no rounds; the image is its own sub-image).
 func TestRadixKDegenerateCases(t *testing.T) {
-	if _, _, err := RadixK(randomSubImages(t, 6, 32, 32, 1), colorspace.CmpLess, 4); err == nil {
-		t.Error("expected error for non-power group size")
+	prime := randomSubImages(t, 7, 32, 32, 43)
+	ref := DepthReference(prime, colorspace.CmpLess)
+	rk, rkTr := exchange(t, plan.AlgRadixK, 7, prime, colorspace.CmpLess)
+	if !rk.Equal(ref, 0) {
+		t.Error("radix-k(n=7, k=7) differs from reference")
+	}
+	mr, mrTr := exchange(t, plan.AlgMixedRadix, 0, prime, colorspace.CmpLess)
+	if !mr.Equal(ref, 0) {
+		t.Error("mixed-radix(n=7) differs from reference")
+	}
+	if rkTr != mrTr || rkTr.Rounds != 2 {
+		t.Errorf("radix-7 traffic %+v, mixed-radix(7) %+v: want equal, one exchange round plus the gather", rkTr, mrTr)
+	}
+
+	one := randomSubImages(t, 1, 32, 32, 44)
+	got, tr := exchange(t, plan.AlgRadixK, 2, one, colorspace.CmpLess)
+	if !got.Equal(one[0], 0) || tr.Messages != 0 {
+		t.Errorf("radix-k(n=1): traffic %+v, image equal %v", tr, got.Equal(one[0], 0))
+	}
+}
+
+// TestExchangeSwapTraffic pins the row-region accounting: every session
+// moves its whole region at 8 B/px, and the gather moves each GPU's final
+// rows at 4 B/px. At n=8 on 64×64, binary-swap is 3 rounds of 8 sessions
+// (7/8 of the screen per GPU in total) plus 7 gather messages.
+func TestExchangeSwapTraffic(t *testing.T) {
+	subs := randomSubImages(t, 8, 64, 64, 77)
+	want := Traffic{Messages: 31, Bytes: 243712, Rounds: 4}
+	if _, tr := exchange(t, plan.AlgBinarySwap, 0, subs, colorspace.CmpLess); tr != want {
+		t.Errorf("binary-swap traffic = %+v, want %+v", tr, want)
 	}
 }
 
 func TestRadixKEqualsBinarySwapTraffic(t *testing.T) {
-	// radix-2 is binary-swap: same rounds, same message count.
+	// radix-2 is binary-swap: same rounds, same messages, same bytes.
 	subs := randomSubImages(t, 8, 64, 64, 77)
-	_, bs, _ := BinarySwap(subs, colorspace.CmpLess)
-	_, rk, _ := RadixK(subs, colorspace.CmpLess, 2)
-	if bs.Rounds != rk.Rounds {
-		t.Errorf("rounds: binary-swap %d vs radix-2 %d", bs.Rounds, rk.Rounds)
-	}
-	if bs.Messages != rk.Messages {
-		t.Errorf("messages: binary-swap %d vs radix-2 %d", bs.Messages, rk.Messages)
+	_, bs := exchange(t, plan.AlgBinarySwap, 0, subs, colorspace.CmpLess)
+	_, rk := exchange(t, plan.AlgRadixK, 2, subs, colorspace.CmpLess)
+	if bs != rk {
+		t.Errorf("radix-2 should equal binary-swap: %+v vs %+v", rk, bs)
 	}
 }
 
@@ -269,18 +325,10 @@ func TestScheduleTrafficScaling(t *testing.T) {
 			s.MarkDirty(i)
 		}
 	}
-	_, ds := DirectSend(subs, colorspace.CmpLess)
-	_, bs, _ := BinarySwap(subs, colorspace.CmpLess)
+	_, ds := exchange(t, plan.AlgDirectSend, 0, subs, colorspace.CmpLess)
+	_, bs := exchange(t, plan.AlgBinarySwap, 0, subs, colorspace.CmpLess)
 	if bs.Bytes >= ds.Bytes {
 		t.Errorf("binary-swap bytes (%d) should be below direct-send (%d)", bs.Bytes, ds.Bytes)
-	}
-}
-
-func TestTrafficAdd(t *testing.T) {
-	a := Traffic{Messages: 1, Bytes: 10, Rounds: 1}
-	a.Add(Traffic{Messages: 2, Bytes: 20, Rounds: 3})
-	if a.Messages != 3 || a.Bytes != 30 || a.Rounds != 4 {
-		t.Errorf("Add = %+v", a)
 	}
 }
 
@@ -288,7 +336,7 @@ func TestMixedRadixMatchesReference(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 6, 8, 10, 12} {
 		subs := randomSubImages(t, n, 64, 64, int64(40+n))
 		ref := DepthReference(subs, colorspace.CmpLess)
-		got, tr, _ := MixedRadix(subs, colorspace.CmpLess)
+		got, tr := exchange(t, plan.AlgMixedRadix, 0, subs, colorspace.CmpLess)
 		if !got.Equal(ref, 0) {
 			t.Fatalf("n=%d: mixed-radix differs in %d pixels", n, got.DiffCount(ref, 0))
 		}
@@ -300,27 +348,9 @@ func TestMixedRadixMatchesReference(t *testing.T) {
 
 func TestMixedRadixEqualsBinarySwapForPowersOfTwo(t *testing.T) {
 	subs := randomSubImages(t, 8, 64, 64, 99)
-	_, bs, _ := BinarySwap(subs, colorspace.CmpLess)
-	_, mr, _ := MixedRadix(subs, colorspace.CmpLess)
-	if bs.Rounds != mr.Rounds || bs.Messages != mr.Messages {
+	_, bs := exchange(t, plan.AlgBinarySwap, 0, subs, colorspace.CmpLess)
+	_, mr := exchange(t, plan.AlgMixedRadix, 0, subs, colorspace.CmpLess)
+	if bs != mr {
 		t.Errorf("mixed-radix(8) should equal binary-swap: %+v vs %+v", mr, bs)
-	}
-}
-
-func TestFactorize(t *testing.T) {
-	cases := map[int][]int{
-		2: {2}, 6: {2, 3}, 8: {2, 2, 2}, 12: {2, 2, 3}, 7: {7}, 1: nil,
-	}
-	for n, want := range cases {
-		got := factorize(n)
-		if len(got) != len(want) {
-			t.Errorf("factorize(%d) = %v, want %v", n, got, want)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("factorize(%d) = %v, want %v", n, got, want)
-			}
-		}
 	}
 }

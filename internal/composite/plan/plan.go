@@ -163,8 +163,6 @@ type Plan struct {
 	Alg Algorithm
 	// N is the GPU count; Height the screen height in rows.
 	N, Height int
-	// K is the radix for AlgRadixK plans (0 otherwise).
-	K int
 	// OwnerRegions marks direct-send plans: session regions span the full
 	// screen and the executor intersects each with the receiver's owned
 	// tiles, matching the paper's ownership-partitioned exchange. Final is
@@ -182,13 +180,6 @@ type Plan struct {
 	// restricts sessions and Final regions to the survivor set, and Check
 	// requires exactly the survivors' contributions to converge.
 	Live []bool
-	// Repaired marks a plan synthesized by Repair, and CompletedRounds
-	// records how many rounds of the aborted original had fully completed at
-	// the checkpoint the repair was taken from (diagnostics only: the repair
-	// restarts from the groups' re-snapshotted work buffers, it does not
-	// resume mid-schedule).
-	Repaired        bool
-	CompletedRounds int
 }
 
 // IsLive reports whether GPU g participates in the plan's exchange.
@@ -226,28 +217,24 @@ func DirectSend(n, h int) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Alg: AlgDirectSend, N: n, Height: h, OwnerRegions: true, Final: make([]Region, n)}
-	if n > 1 {
-		p.Rounds = []Round{directSendRound(allIDs(n), h)}
+	if n == 1 {
+		return p, nil
 	}
-	return p, nil
-}
-
-// directSendRound lists every ordered pair of ids as a full-screen session,
-// by ascending sender, then ascending receiver.
-func directSendRound(ids []int, h int) Round {
-	round := make(Round, 0, len(ids)*(len(ids)-1))
-	for _, s := range ids {
-		for _, r := range ids {
+	round := make(Round, 0, n*(n-1))
+	for s := 0; s < n; s++ {
+		for r := 0; r < n; r++ {
 			if s != r {
 				round = append(round, Session{Sender: s, Receiver: r, Region: Region{0, h}})
 			}
 		}
 	}
-	return round
+	p.Rounds = []Round{round}
+	return p, nil
 }
 
-// BinarySwap builds the log2(n)-round pairwise halving plan. n must be a
-// power of two.
+// BinarySwap builds the log2(n)-round pairwise halving plan: radix-k with
+// k=2, so each pair splits its shared range and each member keeps one half.
+// n must be a power of two.
 func BinarySwap(n, h int) (*Plan, error) {
 	if err := checkDims(n, h); err != nil {
 		return nil, err
@@ -256,28 +243,7 @@ func BinarySwap(n, h int) (*Plan, error) {
 		return nil, fmt.Errorf("plan: binary-swap requires a power-of-two GPU count, got %d", n)
 	}
 	p := &Plan{Alg: AlgBinarySwap, N: n, Height: h}
-	lo, hi := fullRegions(n, h)
-	for stride := 1; stride < n; stride *= 2 {
-		var round Round
-		for g := 0; g < n; g++ {
-			peer := g ^ stride
-			if peer < g {
-				continue
-			}
-			// The pair splits its (identical) current range: g keeps the
-			// top half and receives it from peer; peer keeps the bottom
-			// half and receives it from g.
-			mid := (lo[g] + hi[g]) / 2
-			round = append(round,
-				Session{Sender: peer, Receiver: g, Region: Region{lo[g], mid}},
-				Session{Sender: g, Receiver: peer, Region: Region{mid, hi[g]}},
-			)
-			hi[g] = mid
-			lo[peer] = mid
-		}
-		p.Rounds = append(p.Rounds, round)
-	}
-	p.Final = finalRegions(lo, hi)
+	p.Rounds, p.Final = radixRounds(allIDs(n), h, factorize(n))
 	return p, nil
 }
 
@@ -295,7 +261,7 @@ func RadixK(n, h, k int) (*Plan, error) {
 			return nil, fmt.Errorf("plan: radix-k requires the GPU count (%d) to be a power of k (%d)", n, k)
 		}
 	}
-	p := &Plan{Alg: AlgRadixK, N: n, Height: h, K: k}
+	p := &Plan{Alg: AlgRadixK, N: n, Height: h}
 	factors := make([]int, 0, 8)
 	for m := n; m > 1; m /= k {
 		factors = append(factors, k)
@@ -620,27 +586,22 @@ func Check(p *Plan) error {
 }
 
 // Repair synthesizes a replacement exchange plan after mid-plan failures:
-// given the original plan and the survivor set, it builds a standalone plan
-// over the survivors in the original GPU id space. The executor restarts the
-// exchange from freshly re-snapshotted work buffers (the composition-group
-// checkpoints), so the repair plan is complete rather than a resumption —
-// completedRounds of the aborted schedule is recorded for diagnostics only.
-// Depth merge being commutative, associative, and idempotent is what makes
-// the fresh restart exact.
-//
-// The repaired plan always passes Check: OwnerRegions plans repair to a
-// survivor direct-send; everything else repairs to a mixed-radix schedule
-// over the survivor list (binary-swap when the survivor count is a power of
-// two degenerates to exactly the 2-2-…-2 factorization).
-func Repair(p *Plan, live []bool, completedRounds int) (*Plan, error) {
+// given the original plan and the survivor set, it builds a mixed-radix plan
+// over the survivors in the original GPU id space (binary-swap when the
+// survivor count is a power of two, since that is exactly the 2-2-…-2
+// factorization). The executor restarts the exchange from freshly
+// re-snapshotted work buffers (the composition-group checkpoints), so the
+// repair plan is complete rather than a resumption; depth merge being
+// commutative, associative, and idempotent is what makes the fresh restart
+// exact. The scheme layer repairs only multi-round plans; direct-send
+// recovers through its tile reassignment instead. The repaired plan always
+// passes Check.
+func Repair(p *Plan, live []bool) (*Plan, error) {
 	if p == nil {
 		return nil, fmt.Errorf("plan: repair of a nil plan")
 	}
 	if len(live) != p.N {
 		return nil, fmt.Errorf("plan: repair survivor set has %d entries, want %d", len(live), p.N)
-	}
-	if completedRounds < 0 || completedRounds > len(p.Rounds) {
-		return nil, fmt.Errorf("plan: repair checkpoint at round %d outside plan's %d rounds", completedRounds, len(p.Rounds))
 	}
 	ids := make([]int, 0, p.N)
 	for g, ok := range live {
@@ -652,34 +613,18 @@ func Repair(p *Plan, live []bool, completedRounds int) (*Plan, error) {
 		}
 		ids = append(ids, g)
 	}
-	m := len(ids)
-	if m == 0 {
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("plan: repair with no survivors")
 	}
 	q := &Plan{
-		Alg:             p.Alg,
-		N:               p.N,
-		Height:          p.Height,
-		OwnerRegions:    p.OwnerRegions,
-		Final:           make([]Region, p.N),
-		Live:            append([]bool(nil), live...),
-		Repaired:        true,
-		CompletedRounds: completedRounds,
+		Alg:    AlgMixedRadix,
+		N:      p.N,
+		Height: p.Height,
+		Final:  make([]Region, p.N),
+		Live:   append([]bool(nil), live...),
 	}
-	if m == 1 {
-		// A lone survivor already holds the only remaining contribution:
-		// no exchange rounds, it owns the whole screen.
-		if !q.OwnerRegions {
-			q.Final[ids[0]] = Region{0, p.Height}
-		}
-		return q, nil
-	}
-	if q.OwnerRegions {
-		q.Rounds = []Round{directSendRound(ids, p.Height)}
-		return q, nil
-	}
-	q.Alg = AlgMixedRadix
-	rounds, fin := radixRounds(ids, p.Height, factorize(m))
+	// A lone survivor has no factors: no rounds, and it owns the screen.
+	rounds, fin := radixRounds(ids, p.Height, factorize(len(ids)))
 	q.Rounds = rounds
 	for v, g := range ids {
 		q.Final[g] = fin[v]

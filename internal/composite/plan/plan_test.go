@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -70,7 +71,8 @@ func TestPlannersCheckAllCounts(t *testing.T) {
 	}
 }
 
-// TestBinarySwapRounds pins round count and per-round region halving.
+// TestBinarySwapRounds pins round count and per-round region halving, and
+// that binary-swap is exactly radix-k with k=2 at every power of two.
 func TestBinarySwapRounds(t *testing.T) {
 	p, err := BinarySwap(8, 64)
 	if err != nil {
@@ -93,6 +95,19 @@ func TestBinarySwapRounds(t *testing.T) {
 	for g, fr := range p.Final {
 		if fr.Rows() != 8 {
 			t.Errorf("final region of GPU %d spans %d rows, want 8", g, fr.Rows())
+		}
+	}
+	for n := 2; n <= 64; n *= 2 {
+		bs, err := BinarySwap(n, 97)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rk, err := RadixK(n, 97, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bs.Rounds, rk.Rounds) || !reflect.DeepEqual(bs.Final, rk.Final) {
+			t.Errorf("n=%d: binary-swap differs from radix-2", n)
 		}
 	}
 }
@@ -196,7 +211,7 @@ func TestLegal(t *testing.T) {
 // TestFor covers auto resolution, legality gating, and default-k resolution.
 func TestFor(t *testing.T) {
 	p, err := For(AlgAuto, 64, 128, 0, AssocCommutative, 1)
-	if err != nil || p.Alg != AlgRadixK || p.K != 8 {
+	if err != nil || p.Alg != AlgRadixK || len(p.Rounds) != 2 || len(p.Rounds[0]) != 64*7 {
 		t.Fatalf("For(auto, 64, flat) = (%+v, %v), want radix-8", p, err)
 	}
 	if _, err := For(AlgBinarySwap, 8, 64, 0, AssocOrdered, 1); err == nil {
@@ -253,5 +268,16 @@ func TestCheckRejectsBadPlans(t *testing.T) {
 	}
 	if err := Check(bad3); err == nil {
 		t.Error("Check accepted overlapping send/receive rows in one round")
+	}
+}
+
+func TestFactorize(t *testing.T) {
+	cases := map[int][]int{
+		2: {2}, 6: {2, 3}, 8: {2, 2, 2}, 12: {2, 2, 3}, 7: {7}, 1: nil,
+	}
+	for n, want := range cases {
+		if got := factorize(n); !reflect.DeepEqual(got, want) {
+			t.Errorf("factorize(%d) = %v, want %v", n, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -33,9 +34,11 @@ func repairSources(t *testing.T, n, h int) []*Plan {
 }
 
 // TestRepairProperty exercises plan repair over every GPU count 2..64 ×
-// {binary-swap, radix-k, mixed-radix} × every single-GPU failure at every
-// round boundary: the repaired plan must pass Check, and its final ownership
-// map must cover the full screen using survivors only.
+// {binary-swap, radix-k, mixed-radix} × every single-GPU failure: the
+// repaired plan must pass Check, its final ownership map must cover the
+// full screen using survivors only, and it must not depend on the source
+// plan's shape. Image-level exactness of the repair is checked by
+// composite's TestExchangeRepairMatchesReference.
 func TestRepairProperty(t *testing.T) {
 	const h = 37
 	stride := 1
@@ -43,44 +46,48 @@ func TestRepairProperty(t *testing.T) {
 		stride = 7
 	}
 	for n := 2; n <= 64; n += stride {
-		for _, src := range repairSources(t, n, h) {
-			for failed := 0; failed < n; failed++ {
-				for boundary := 0; boundary <= len(src.Rounds); boundary++ {
-					name := fmt.Sprintf("n=%d/%s/fail=%d/round=%d", n, src.Alg, failed, boundary)
-					live := make([]bool, n)
-					for g := range live {
-						live[g] = g != failed
+		srcs := repairSources(t, n, h)
+		for failed := 0; failed < n; failed++ {
+			live := make([]bool, n)
+			for g := range live {
+				live[g] = g != failed
+			}
+			var first *Plan
+			for _, src := range srcs {
+				name := fmt.Sprintf("n=%d/%s/fail=%d", n, src.Alg, failed)
+				rp, err := Repair(src, live)
+				if err != nil {
+					t.Fatalf("%s: repair: %v", name, err)
+				}
+				if first == nil {
+					first = rp
+				} else if !reflect.DeepEqual(rp, first) {
+					t.Fatalf("%s: repair differs from the %s source's", name, srcs[0].Alg)
+				}
+				if rp.Alg != AlgMixedRadix || rp.N != n || rp.Height != h {
+					t.Fatalf("%s: repair = {alg=%s n=%d h=%d}", name, rp.Alg, rp.N, rp.Height)
+				}
+				if err := Check(rp); err != nil {
+					t.Fatalf("%s: repaired plan fails Check: %v", name, err)
+				}
+				cover := make([]int, h)
+				for g, fr := range rp.Final {
+					if g == failed && fr.Rows() != 0 {
+						t.Fatalf("%s: failed GPU still owns rows [%d,%d)", name, fr.Lo, fr.Hi)
 					}
-					rp, err := Repair(src, live, boundary)
-					if err != nil {
-						t.Fatalf("%s: repair: %v", name, err)
+					for y := fr.Lo; y < fr.Hi; y++ {
+						cover[y]++
 					}
-					if !rp.Repaired || rp.CompletedRounds != boundary || rp.N != n || rp.Height != h {
-						t.Fatalf("%s: repair metadata = {repaired=%v rounds=%d n=%d h=%d}",
-							name, rp.Repaired, rp.CompletedRounds, rp.N, rp.Height)
+				}
+				for y, c := range cover {
+					if c != 1 {
+						t.Fatalf("%s: screen row %d covered %d times by survivor finals", name, y, c)
 					}
-					if err := Check(rp); err != nil {
-						t.Fatalf("%s: repaired plan fails Check: %v", name, err)
-					}
-					cover := make([]int, h)
-					for g, fr := range rp.Final {
-						if g == failed && fr.Rows() != 0 {
-							t.Fatalf("%s: failed GPU still owns rows [%d,%d)", name, fr.Lo, fr.Hi)
-						}
-						for y := fr.Lo; y < fr.Hi; y++ {
-							cover[y]++
-						}
-					}
-					for y, c := range cover {
-						if c != 1 {
-							t.Fatalf("%s: screen row %d covered %d times by survivor finals", name, y, c)
-						}
-					}
-					for ri, round := range rp.Rounds {
-						for _, s := range round {
-							if s.Sender == failed || s.Receiver == failed {
-								t.Fatalf("%s: round %d session %d→%d touches the failed GPU", name, ri, s.Sender, s.Receiver)
-							}
+				}
+				for ri, round := range rp.Rounds {
+					for _, s := range round {
+						if s.Sender == failed || s.Receiver == failed {
+							t.Fatalf("%s: round %d session %d→%d touches the failed GPU", name, ri, s.Sender, s.Receiver)
 						}
 					}
 				}
@@ -97,7 +104,7 @@ func TestRepairLoneSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := []bool{false, false, true, false}
-	rp, err := Repair(src, live, 1)
+	rp, err := Repair(src, live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,59 +119,33 @@ func TestRepairLoneSurvivor(t *testing.T) {
 	}
 }
 
-// TestRepairOwnerRegions covers the direct-send shape: the repair is a
-// survivor direct-send with m·(m−1) full-screen sessions.
-func TestRepairOwnerRegions(t *testing.T) {
-	src, err := DirectSend(5, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := []bool{true, true, false, true, true}
-	rp, err := Repair(src, live, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rp.OwnerRegions {
-		t.Fatal("direct-send repair lost OwnerRegions")
-	}
-	if got := rp.Sessions(); got != 4*3 {
-		t.Fatalf("direct-send repair has %d sessions, want 12", got)
-	}
-	if err := Check(rp); err != nil {
-		t.Fatalf("direct-send repair fails Check: %v", err)
-	}
-}
-
 // TestRepairValidation pins the error paths.
 func TestRepairValidation(t *testing.T) {
 	src, err := MixedRadix(6, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Repair(nil, []bool{true}, 0); err == nil {
+	if _, err := Repair(nil, []bool{true}); err == nil {
 		t.Error("repair of nil plan did not error")
 	}
-	if _, err := Repair(src, []bool{true, true}, 0); err == nil {
+	if _, err := Repair(src, []bool{true, true}); err == nil {
 		t.Error("wrong-length survivor set did not error")
 	}
-	if _, err := Repair(src, make([]bool, 6), 0); err == nil {
+	if _, err := Repair(src, make([]bool, 6)); err == nil {
 		t.Error("empty survivor set did not error")
-	}
-	if _, err := Repair(src, []bool{true, true, true, true, true, true}, len(src.Rounds)+1); err == nil {
-		t.Error("out-of-range checkpoint did not error")
 	}
 	// A second repair may only shrink the live set.
 	live := []bool{true, true, true, true, true, false}
-	rp, err := Repair(src, live, 1)
+	rp, err := Repair(src, live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	back := []bool{true, true, true, true, true, true}
-	if _, err := Repair(rp, back, 0); err == nil {
+	if _, err := Repair(rp, back); err == nil {
 		t.Error("resurrecting a dead GPU did not error")
 	}
 	live2 := []bool{true, false, true, true, true, false}
-	rp2, err := Repair(rp, live2, 0)
+	rp2, err := Repair(rp, live2)
 	if err != nil {
 		t.Fatalf("second repair: %v", err)
 	}

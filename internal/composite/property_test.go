@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
 	"chopin/internal/framebuffer"
 )
 
@@ -28,8 +29,7 @@ func isPowerOf(n, k int) bool {
 	return n > 1
 }
 
-// TestPropertyParallelSchedulesMatchReference drives every parallel
-// composition schedule over randomized GPU counts, screen sizes (including
+// TestPropertyParallelSchedulesMatchReference plays every exchange plan over randomized GPU counts, screen sizes (including
 // non-tile-aligned ones), and contents, requiring exact equality with the
 // sequential reference.
 func TestPropertyParallelSchedulesMatchReference(t *testing.T) {
@@ -45,23 +45,23 @@ func TestPropertyParallelSchedulesMatchReference(t *testing.T) {
 		subs := randomSubImages(t, n, w, h, int64(1000+trial))
 		ref := DepthReference(subs, cmp)
 
-		if got, _ := DirectSend(subs, cmp); !got.Equal(ref, 0) {
-			t.Fatalf("trial %d (n=%d %dx%d): DirectSend differs from reference", trial, n, w, h)
+		if got, _ := exchange(t, plan.AlgDirectSend, 0, subs, cmp); !got.Equal(ref, 0) {
+			t.Fatalf("trial %d (n=%d %dx%d): direct-send differs from reference", trial, n, w, h)
 		}
-		if got, _, err := MixedRadix(subs, cmp); err != nil || !got.Equal(ref, 0) {
-			t.Fatalf("trial %d (n=%d %dx%d): MixedRadix differs from reference", trial, n, w, h)
+		if got, _ := exchange(t, plan.AlgMixedRadix, 0, subs, cmp); !got.Equal(ref, 0) {
+			t.Fatalf("trial %d (n=%d %dx%d): mixed-radix differs from reference", trial, n, w, h)
 		}
 		if n&(n-1) == 0 {
-			if got, _, err := BinarySwap(subs, cmp); err != nil || !got.Equal(ref, 0) {
-				t.Fatalf("trial %d (n=%d %dx%d): BinarySwap differs from reference", trial, n, w, h)
+			if got, _ := exchange(t, plan.AlgBinarySwap, 0, subs, cmp); !got.Equal(ref, 0) {
+				t.Fatalf("trial %d (n=%d %dx%d): binary-swap differs from reference", trial, n, w, h)
 			}
 		}
 		for _, k := range []int{2, 3, n} {
 			if !isPowerOf(n, k) {
 				continue
 			}
-			if got, _, err := RadixK(subs, cmp, k); err != nil || !got.Equal(ref, 0) {
-				t.Fatalf("trial %d (n=%d %dx%d): RadixK(%d) differs from reference", trial, n, w, h, k)
+			if got, _ := exchange(t, plan.AlgRadixK, k, subs, cmp); !got.Equal(ref, 0) {
+				t.Fatalf("trial %d (n=%d %dx%d): radix-%d differs from reference", trial, n, w, h, k)
 			}
 		}
 	}

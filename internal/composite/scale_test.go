@@ -1,15 +1,19 @@
 package composite
 
 import (
+	"fmt"
 	"testing"
 
 	"chopin/internal/colorspace"
+	"chopin/internal/composite/plan"
+	"chopin/internal/framebuffer"
 )
 
 // TestEveryCountMatchesReferenceTo64 is the exhaustive scale sweep: for
-// every GPU count from 2 through 64, every schedule that supports the count
-// must reproduce the sequential depth reference pixel-exactly. This is the
-// library-level guarantee the 64-GPU plan executor rests on.
+// every GPU count from 2 through 64, every plan that supports the count
+// must reproduce the sequential depth reference pixel-exactly when played
+// by Exchange. This is the image-level guarantee the 64-GPU plan executor
+// rests on.
 func TestEveryCountMatchesReferenceTo64(t *testing.T) {
 	const w, h = 48, 37 // off tile boundaries on purpose
 	for n := 2; n <= 64; n++ {
@@ -20,66 +24,96 @@ func TestEveryCountMatchesReferenceTo64(t *testing.T) {
 		subs := randomSubImages(t, n, w, h, int64(9000+n))
 		ref := DepthReference(subs, cmp)
 
-		if got, _ := DirectSend(subs, cmp); !got.Equal(ref, 0) {
-			t.Errorf("n=%d: DirectSend differs from reference", n)
+		if got, _ := exchange(t, plan.AlgDirectSend, 0, subs, cmp); !got.Equal(ref, 0) {
+			t.Errorf("n=%d: direct-send differs from reference", n)
 		}
-		if got, _, err := MixedRadix(subs, cmp); err != nil {
-			t.Errorf("n=%d: MixedRadix: %v", n, err)
-		} else if !got.Equal(ref, 0) {
-			t.Errorf("n=%d: MixedRadix differs from reference", n)
+		if got, _ := exchange(t, plan.AlgMixedRadix, 0, subs, cmp); !got.Equal(ref, 0) {
+			t.Errorf("n=%d: mixed-radix differs from reference", n)
 		}
 		if n&(n-1) == 0 {
-			if got, _, err := BinarySwap(subs, cmp); err != nil {
-				t.Errorf("n=%d: BinarySwap: %v", n, err)
-			} else if !got.Equal(ref, 0) {
-				t.Errorf("n=%d: BinarySwap differs from reference", n)
+			if got, _ := exchange(t, plan.AlgBinarySwap, 0, subs, cmp); !got.Equal(ref, 0) {
+				t.Errorf("n=%d: binary-swap differs from reference", n)
 			}
 		}
 		for _, k := range []int{2, 3, 4, 8} {
 			if !isPowerOf(n, k) {
 				continue
 			}
-			if got, _, err := RadixK(subs, cmp, k); err != nil {
-				t.Errorf("n=%d: RadixK(%d): %v", n, k, err)
-			} else if !got.Equal(ref, 0) {
-				t.Errorf("n=%d: RadixK(%d) differs from reference", n, k)
+			if got, _ := exchange(t, plan.AlgRadixK, k, subs, cmp); !got.Equal(ref, 0) {
+				t.Errorf("n=%d: radix-%d differs from reference", n, k)
 			}
 		}
 	}
 }
 
-// TestScheduleErrorContract pins the unified error contract: BinarySwap,
-// RadixK, and MixedRadix all report unsupported inputs through their error
-// return (never a panic, never a silent wrong image), and MixedRadix —
-// which supports every count — never errors.
+// TestExchangeRepairMatchesReference is the image oracle for plan repair:
+// for every GPU count 2..64 and every single-GPU failure, playing the
+// repaired survivor plan must reproduce the sequential depth reference of
+// the survivors' sub-images pixel-exactly.
+func TestExchangeRepairMatchesReference(t *testing.T) {
+	const w, h = 48, 37
+	stride := 1
+	if testing.Short() {
+		stride = 7
+	}
+	for n := 2; n <= 64; n += stride {
+		src, err := plan.MixedRadix(n, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := randomSubImages(t, n, w, h, int64(9500+n))
+		for failed := 0; failed < n; failed++ {
+			name := fmt.Sprintf("n=%d/fail=%d", n, failed)
+			live := make([]bool, n)
+			survivors := make([]*framebuffer.Buffer, 0, n-1)
+			for g := range live {
+				live[g] = g != failed
+				if live[g] {
+					survivors = append(survivors, subs[g])
+				}
+			}
+			rp, err := plan.Repair(src, live)
+			if err != nil {
+				t.Fatalf("%s: repair: %v", name, err)
+			}
+			in := append([]*framebuffer.Buffer(nil), subs...)
+			in[failed] = nil // a dead GPU's buffer is gone
+			got, _, err := Exchange(rp, in, colorspace.CmpLess)
+			if err != nil {
+				t.Fatalf("%s: exchange: %v", name, err)
+			}
+			if ref := DepthReference(survivors, colorspace.CmpLess); !got.Equal(ref, 0) {
+				t.Fatalf("%s: repaired exchange differs from the survivors' reference in %d pixels", name, got.DiffCount(ref, 0))
+			}
+		}
+	}
+}
+
+// TestScheduleErrorContract pins Exchange's error contract: a plan and
+// sub-image set that do not fit together is reported through the error
+// return, never a panic or a silently wrong image.
 func TestScheduleErrorContract(t *testing.T) {
-	subs := randomSubImages(t, 6, 32, 32, 42)
-
-	if _, _, err := BinarySwap(subs, colorspace.CmpLess); err == nil {
-		t.Error("BinarySwap with 6 sub-images: want error")
+	subs := randomSubImages(t, 4, 32, 32, 42)
+	p, err := plan.BinarySwap(4, 32)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := RadixK(subs, colorspace.CmpLess, 1); err == nil {
-		t.Error("RadixK(k=1): want error")
+	if _, _, err := Exchange(p, subs[:3], colorspace.CmpLess); err == nil {
+		t.Error("3 sub-images for a 4-GPU plan: want error")
 	}
-	if _, _, err := RadixK(subs, colorspace.CmpLess, 4); err == nil {
-		t.Error("RadixK(n=6, k=4): want error")
+	short := append([]*framebuffer.Buffer(nil), subs...)
+	short[2] = framebuffer.MustNew(32, 16)
+	if _, _, err := Exchange(p, short, colorspace.CmpLess); err == nil {
+		t.Error("sub-image height differs from the plan's: want error")
 	}
-	if _, _, err := MixedRadix(subs, colorspace.CmpLess); err != nil {
-		t.Errorf("MixedRadix(n=6): unexpected error %v", err)
+	missing := append([]*framebuffer.Buffer(nil), subs...)
+	missing[1] = nil
+	if _, _, err := Exchange(p, missing, colorspace.CmpLess); err == nil {
+		t.Error("nil sub-image for a live GPU: want error")
 	}
-
-	// Prime counts: only direct-send and mixed-radix (single factor = one
-	// direct-send-style round) apply; radix-k with k=n degenerates likewise.
-	prime := randomSubImages(t, 7, 32, 32, 43)
-	ref := DepthReference(prime, colorspace.CmpLess)
-	if got, _, err := RadixK(prime, colorspace.CmpLess, 7); err != nil {
-		t.Errorf("RadixK(n=7, k=7): %v", err)
-	} else if !got.Equal(ref, 0) {
-		t.Error("RadixK(n=7, k=7) differs from reference")
-	}
-	if got, _, err := MixedRadix(prime, colorspace.CmpLess); err != nil {
-		t.Errorf("MixedRadix(n=7): %v", err)
-	} else if !got.Equal(ref, 0) {
-		t.Error("MixedRadix(n=7) differs from reference")
+	dead := *p
+	dead.Live = make([]bool, 4)
+	if _, _, err := Exchange(&dead, subs, colorspace.CmpLess); err == nil {
+		t.Error("plan with no live GPUs: want error")
 	}
 }

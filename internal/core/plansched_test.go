@@ -159,7 +159,7 @@ func TestPlanSchedulerMatchesFullScan(t *testing.T) {
 	for g := range live {
 		live[g] = g != 3 && g != 9
 	}
-	add(plan.Repair(bs, live, 1))
+	add(plan.Repair(bs, live))
 
 	for _, p := range plans {
 		for seed := int64(0); seed < 20; seed++ {

@@ -312,7 +312,7 @@ func (px *planExec) completeRepair() {
 	for g := range live {
 		live[g] = !px.excluded[g]
 	}
-	rp, err := plan.Repair(px.p, live, px.ps.CompletedRounds())
+	rp, err := plan.Repair(px.p, live)
 	if err == nil {
 		err = plan.Check(rp)
 	}
