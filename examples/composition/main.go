@@ -30,7 +30,6 @@ const (
 // cloud: opaque splats at depths within the slab.
 func renderSubImage(g int) *framebuffer.Buffer {
 	fb := framebuffer.MustNew(width, height)
-	fb.ClearDirty()
 	rng := rand.New(rand.NewSource(int64(g) + 1))
 	zLo := float64(g) / gpus
 	zHi := float64(g+1) / gpus

@@ -7,6 +7,22 @@
 // paper) and the unit of composition traffic: only tiles actually touched by
 // a draw command ("dirty" tiles) are exchanged between GPUs during image
 // composition (Section VI-C).
+//
+// Tiles are also the unit of storage. Each of a buffer's colour, depth and
+// stencil planes holds one slot per tile, and a slot points to a fixed-size
+// 64×64 block allocated on the first write to that tile. An empty slot reads
+// as the plane's clear value, so New, Clear, Reset and FillColor allocate no
+// pixel storage, and a buffer costs memory only for the tiles drawn into.
+//
+// Blocks are copy-on-write. CopyTileFrom and Clone share a block between two
+// buffers instead of copying it, and mark it shared in both; a shared block
+// is never written again, and the next write to it through any holder
+// copies it first. Distinct buffers can therefore be written concurrently
+// even while they share blocks: a writer only reads a shared block. Sharing
+// marks the source buffer too, so CopyTileFrom and Clone must not run
+// concurrently with any use of their source. The simulator shares blocks
+// only on its dispatching goroutine, in event callbacks and after the run,
+// never while sim.Engine.Fanout workers draw.
 package framebuffer
 
 import (
@@ -17,6 +33,7 @@ import (
 	"image/png"
 	"io"
 	"math"
+	"slices"
 
 	"chopin/internal/colorspace"
 )
@@ -44,20 +61,128 @@ const (
 // the standard less-than depth test.
 const ClearDepth = 1.0
 
-// Buffer is a 2D render target with colour, depth and stencil planes and
-// per-tile dirty tracking.
+// Buffer is a 2D render target with tile-sparse, copy-on-write colour,
+// depth and stencil planes and per-tile dirty tracking.
 type Buffer struct {
 	width, height  int
 	tilesX, tilesY int
 
-	color   []colorspace.RGBA
-	depth   []float64
-	stencil []uint8
+	color   plane[colorspace.RGBA]
+	depth   plane[float64]
+	stencil plane[uint8]
 	dirty   []bool
 }
 
-// New returns a cleared buffer of the given pixel dimensions.
-// Width and height must be positive.
+// tilePixels is the pixel count of one block: one tile of one plane,
+// row-major with a TileSize stride. The rows and columns of an edge tile
+// that fall outside the buffer are unused.
+const tilePixels = TileSize * TileSize
+
+// plane is one tile-sparse pixel plane: a block per tile, or nil for a tile
+// that reads as clear everywhere.
+type plane[T comparable] struct {
+	blocks []*[tilePixels]T
+	// shared[t] marks blocks[t] as possibly held by another plane too.
+	// Such a block is never written again; a writer first replaces it with
+	// a private copy.
+	shared []bool
+	clear  T
+}
+
+func newPlane[T comparable](tiles int, clear T) plane[T] {
+	return plane[T]{
+		blocks: make([]*[tilePixels]T, tiles),
+		shared: make([]bool, tiles),
+		clear:  clear,
+	}
+}
+
+// at returns pixel i of tile t.
+func (p *plane[T]) at(t, i int) T {
+	if blk := p.blocks[t]; blk != nil {
+		return blk[i]
+	}
+	return p.clear
+}
+
+// writable returns tile t's block, private to this plane and ready for
+// writing.
+func (p *plane[T]) writable(t int) *[tilePixels]T {
+	if blk := p.blocks[t]; blk != nil && !p.shared[t] {
+		return blk
+	}
+	return p.own(t)
+}
+
+// own replaces tile t's slot with a private block holding the tile's
+// current contents: a copy of the shared block, or the clear value.
+func (p *plane[T]) own(t int) *[tilePixels]T {
+	var nb *[tilePixels]T
+	if blk := p.blocks[t]; blk != nil {
+		// slices.Clone does not zero memory it is about to overwrite, as
+		// new followed by a copy would.
+		nb = (*[tilePixels]T)(slices.Clone(blk[:]))
+	} else {
+		nb = filled(p.clear)
+	}
+	p.blocks[t] = nb
+	p.shared[t] = false
+	return nb
+}
+
+// filled returns a new block with every pixel set to v.
+func filled[T comparable](v T) *[tilePixels]T {
+	blk := new([tilePixels]T)
+	var zero T
+	if v != zero {
+		for i := range blk {
+			blk[i] = v
+		}
+	}
+	return blk
+}
+
+// reset drops every block, so every pixel reads as v.
+func (p *plane[T]) reset(v T) {
+	clear(p.blocks)
+	clear(p.shared)
+	p.clear = v
+}
+
+// fillTile makes every pixel of tile t read as v.
+func (p *plane[T]) fillTile(t int, v T) {
+	p.blocks[t] = nil
+	if v != p.clear {
+		p.blocks[t] = filled(v)
+	}
+	p.shared[t] = false
+}
+
+// copyTile makes tile t read as it does in src, sharing src's block.
+func (p *plane[T]) copyTile(src *plane[T], t int) {
+	blk := src.blocks[t]
+	if blk == nil {
+		p.fillTile(t, src.clear)
+		return
+	}
+	p.blocks[t] = blk
+	p.shared[t] = true
+	src.shared[t] = true
+}
+
+// clone returns a plane sharing all of p's blocks.
+func (p *plane[T]) clone() plane[T] {
+	for t, blk := range p.blocks {
+		if blk != nil {
+			p.shared[t] = true
+		}
+	}
+	return plane[T]{blocks: slices.Clone(p.blocks), shared: slices.Clone(p.shared), clear: p.clear}
+}
+
+// New returns a cleared buffer of the given pixel dimensions: transparent
+// colour, far depth, zero stencil, nothing dirty. It allocates no pixel
+// storage. Width and height must be positive.
 func New(width, height int) (*Buffer, error) {
 	if width <= 0 || height <= 0 {
 		return nil, fmt.Errorf("framebuffer: invalid dimensions %d×%d", width, height)
@@ -68,13 +193,11 @@ func New(width, height int) (*Buffer, error) {
 		tilesX: (width + TileSize - 1) / TileSize,
 		tilesY: (height + TileSize - 1) / TileSize,
 	}
-	n := width * height
-	b.color = make([]colorspace.RGBA, n)
-	b.depth = make([]float64, n)
-	b.stencil = make([]uint8, n)
-	b.dirty = make([]bool, b.tilesX*b.tilesY)
-	b.Clear(colorspace.Transparent, ClearDepth)
-	b.ClearDirty()
+	n := b.tilesX * b.tilesY
+	b.color = newPlane(n, colorspace.Transparent)
+	b.depth = newPlane(n, ClearDepth)
+	b.stencil = newPlane(n, uint8(0))
+	b.dirty = make([]bool, n)
 	return b, nil
 }
 
@@ -107,12 +230,11 @@ func (b *Buffer) TileCount() int { return b.tilesX * b.tilesY }
 
 // Clear sets every pixel to the given colour and depth, zeroes the stencil
 // plane, and marks every tile dirty (a full-screen clear touches everything).
+// It drops every block instead of writing pixels.
 func (b *Buffer) Clear(c colorspace.RGBA, depth float64) {
-	for i := range b.color {
-		b.color[i] = c
-		b.depth[i] = depth
-		b.stencil[i] = 0
-	}
+	b.color.reset(c)
+	b.depth.reset(depth)
+	b.stencil.reset(0)
 	for i := range b.dirty {
 		b.dirty[i] = true
 	}
@@ -121,11 +243,10 @@ func (b *Buffer) Clear(c colorspace.RGBA, depth float64) {
 // FillColor sets every pixel's colour without touching depth, stencil or
 // dirty flags. Transparent sub-image render targets are initialized this
 // way: they inherit the opaque depth buffer (for occlusion tests) but start
-// from a fully transparent colour plane.
+// from a fully transparent colour plane. It drops every colour block, so a
+// layer cloned from a target goes on sharing the target's depth blocks.
 func (b *Buffer) FillColor(c colorspace.RGBA) {
-	for i := range b.color {
-		b.color[i] = c
-	}
+	b.color.reset(c)
 }
 
 // ClearDirty resets all dirty-tile flags.
@@ -148,28 +269,49 @@ func (b *Buffer) InBounds(x, y int) bool {
 	return x >= 0 && x < b.width && y >= 0 && y < b.height
 }
 
-func (b *Buffer) index(x, y int) int { return y*b.width + x }
+// locate returns the tile holding pixel (x, y) and the pixel's index in that
+// tile's blocks.
+func (b *Buffer) locate(x, y int) (t, i int) {
+	tx, ty := x/TileSize, y/TileSize
+	return ty*b.tilesX + tx, (y-ty*TileSize)*TileSize + x - tx*TileSize
+}
 
 // At returns the colour at (x, y).
-func (b *Buffer) At(x, y int) colorspace.RGBA { return b.color[b.index(x, y)] }
+func (b *Buffer) At(x, y int) colorspace.RGBA {
+	t, i := b.locate(x, y)
+	return b.color.at(t, i)
+}
 
 // Set writes the colour at (x, y) and marks its tile dirty.
 func (b *Buffer) Set(x, y int, c colorspace.RGBA) {
-	b.color[b.index(x, y)] = c
-	b.dirty[b.TileOf(x, y)] = true
+	t, i := b.locate(x, y)
+	b.color.writable(t)[i] = c
+	b.dirty[t] = true
 }
 
 // DepthAt returns the depth at (x, y).
-func (b *Buffer) DepthAt(x, y int) float64 { return b.depth[b.index(x, y)] }
+func (b *Buffer) DepthAt(x, y int) float64 {
+	t, i := b.locate(x, y)
+	return b.depth.at(t, i)
+}
 
 // SetDepth writes the depth at (x, y).
-func (b *Buffer) SetDepth(x, y int, d float64) { b.depth[b.index(x, y)] = d }
+func (b *Buffer) SetDepth(x, y int, d float64) {
+	t, i := b.locate(x, y)
+	b.depth.writable(t)[i] = d
+}
 
 // StencilAt returns the stencil value at (x, y).
-func (b *Buffer) StencilAt(x, y int) uint8 { return b.stencil[b.index(x, y)] }
+func (b *Buffer) StencilAt(x, y int) uint8 {
+	t, i := b.locate(x, y)
+	return b.stencil.at(t, i)
+}
 
 // SetStencil writes the stencil value at (x, y).
-func (b *Buffer) SetStencil(x, y int, s uint8) { b.stencil[b.index(x, y)] = s }
+func (b *Buffer) SetStencil(x, y int, s uint8) {
+	t, i := b.locate(x, y)
+	b.stencil.writable(t)[i] = s
+}
 
 // TileOf returns the tile index containing pixel (x, y).
 func (b *Buffer) TileOf(x, y int) int {
@@ -211,20 +353,17 @@ func (b *Buffer) DirtyTiles() []int {
 }
 
 // CopyTileFrom copies tile t (colour, depth and stencil) from src, which must
-// have identical dimensions, and marks it dirty if it was dirty in src.
+// have identical dimensions, and marks it dirty if it was dirty in src. The
+// copy shares src's blocks (see the package comment), so it allocates
+// nothing unless src's tile reads as a clear value b's plane does not share.
 func (b *Buffer) CopyTileFrom(src *Buffer, t int) error {
 	if src.width != b.width || src.height != b.height {
 		return fmt.Errorf("framebuffer: CopyTileFrom dimension mismatch: %d×%d vs %d×%d",
 			src.width, src.height, b.width, b.height)
 	}
-	x0, y0, x1, y1 := b.TileRect(t)
-	for y := y0; y < y1; y++ {
-		i0 := b.index(x0, y)
-		i1 := b.index(x1, y)
-		copy(b.color[i0:i1], src.color[i0:i1])
-		copy(b.depth[i0:i1], src.depth[i0:i1])
-		copy(b.stencil[i0:i1], src.stencil[i0:i1])
-	}
+	b.color.copyTile(&src.color, t)
+	b.depth.copyTile(&src.depth, t)
+	b.stencil.copyTile(&src.stencil, t)
 	if src.dirty[t] {
 		b.dirty[t] = true
 	}
@@ -235,31 +374,24 @@ func (b *Buffer) CopyTileFrom(src *Buffer, t int) error {
 // depth, zero stencil) and clears its dirty flag. Degraded-mode recovery
 // uses this before re-rendering a reassigned tile from scratch.
 func (b *Buffer) ClearTile(t int) {
-	x0, y0, x1, y1 := b.TileRect(t)
-	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			i := b.index(x, y)
-			b.color[i] = colorspace.Transparent
-			b.depth[i] = ClearDepth
-			b.stencil[i] = 0
-		}
-	}
+	b.color.fillTile(t, colorspace.Transparent)
+	b.depth.fillTile(t, ClearDepth)
+	b.stencil.fillTile(t, 0)
 	b.dirty[t] = false
 }
 
-// Clone returns a deep copy of the buffer.
+// Clone returns a copy of the buffer that shares every block with b.
 func (b *Buffer) Clone() *Buffer {
-	c := &Buffer{
-		width:  b.width,
-		height: b.height,
-		tilesX: b.tilesX,
-		tilesY: b.tilesY,
+	return &Buffer{
+		width:   b.width,
+		height:  b.height,
+		tilesX:  b.tilesX,
+		tilesY:  b.tilesY,
+		color:   b.color.clone(),
+		depth:   b.depth.clone(),
+		stencil: b.stencil.clone(),
+		dirty:   slices.Clone(b.dirty),
 	}
-	c.color = append([]colorspace.RGBA(nil), b.color...)
-	c.depth = append([]float64(nil), b.depth...)
-	c.stencil = append([]uint8(nil), b.stencil...)
-	c.dirty = append([]bool(nil), b.dirty...)
-	return c
 }
 
 // Equal reports whether two buffers have identical dimensions and whether
@@ -269,15 +401,14 @@ func (b *Buffer) Equal(o *Buffer, eps float64) bool {
 	if b.width != o.width || b.height != o.height {
 		return false
 	}
-	for i := range b.color {
-		if !b.color[i].ApproxEqual(o.color[i], eps) {
-			return false
-		}
-		if math.Abs(b.depth[i]-o.depth[i]) > eps {
-			return false
-		}
-		if b.stencil[i] != o.stencil[i] {
-			return false
+	for y := 0; y < b.height; y++ {
+		for x := 0; x < b.width; x++ {
+			t, i := b.locate(x, y)
+			if !b.color.at(t, i).ApproxEqual(o.color.at(t, i), eps) ||
+				math.Abs(b.depth.at(t, i)-o.depth.at(t, i)) > eps ||
+				b.stencil.at(t, i) != o.stencil.at(t, i) {
+				return false
+			}
 		}
 	}
 	return true
@@ -290,22 +421,26 @@ func (b *Buffer) DiffCount(o *Buffer, eps float64) int {
 		return b.width * b.height
 	}
 	n := 0
-	for i := range b.color {
-		if !b.color[i].ApproxEqual(o.color[i], eps) {
-			n++
+	for y := 0; y < b.height; y++ {
+		for x := 0; x < b.width; x++ {
+			if !b.At(x, y).ApproxEqual(o.At(x, y), eps) {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// Checksum returns a stable hash of the quantized (8-bit) colour contents,
-// used by regression tests to pin rendered output.
+// Checksum returns a stable hash of the quantized (8-bit) colour contents in
+// row-major order, used by regression tests to pin rendered output.
 func (b *Buffer) Checksum() uint64 {
 	h := fnv.New64a()
 	var quad [4]byte
-	for _, c := range b.color {
-		quad[0], quad[1], quad[2], quad[3] = c.RGBA8()
-		h.Write(quad[:])
+	for y := 0; y < b.height; y++ {
+		for x := 0; x < b.width; x++ {
+			quad[0], quad[1], quad[2], quad[3] = b.At(x, y).RGBA8()
+			h.Write(quad[:])
+		}
 	}
 	return h.Sum64()
 }

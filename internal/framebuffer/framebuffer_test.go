@@ -1,6 +1,11 @@
 package framebuffer
 
 import (
+	"hash/fnv"
+	"image/color"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -211,5 +216,274 @@ func TestOwnedTilesPartition(t *testing.T) {
 func TestOwnerOfZeroGPUs(t *testing.T) {
 	if got := OwnerOf(0, 0); got != -1 {
 		t.Errorf("OwnerOf(0, 0) = %d, want -1", got)
+	}
+}
+
+func TestUntouchedTileReadsClearValue(t *testing.T) {
+	b := MustNew(200, 130) // 4×3 tiles, partial edge tiles
+	if b.At(199, 129) != colorspace.Transparent || b.DepthAt(199, 129) != ClearDepth || b.StencilAt(199, 129) != 0 {
+		t.Fatal("fresh buffer does not read as transparent, far depth, zero stencil")
+	}
+	red := colorspace.Opaque(1, 0, 0)
+	b.Clear(red, 0.5)
+	b.Set(10, 10, colorspace.Opaque(0, 1, 0))
+	// The written tile's other pixels and every untouched tile read the
+	// clear value.
+	for _, p := range [][2]int{{11, 10}, {63, 63}, {64, 0}, {199, 129}} {
+		if b.At(p[0], p[1]) != red || b.DepthAt(p[0], p[1]) != 0.5 || b.StencilAt(p[0], p[1]) != 0 {
+			t.Errorf("pixel %v does not read the clear value", p)
+		}
+	}
+}
+
+func TestPixelOrderIsRowMajor(t *testing.T) {
+	const w, h = 150, 70 // edge tiles on both axes
+	b := MustNew(w, h)
+	want := make([]colorspace.RGBA, 0, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			c := colorspace.Opaque(float64(x)/w, float64(y)/h, float64((x*7+y*3)%11)/11)
+			b.Set(x, y, c)
+			b.SetDepth(x, y, float64(x+y*w)/(w*h))
+			b.SetStencil(x, y, uint8(x^y))
+			want = append(want, c)
+		}
+	}
+	hsh := fnv.New64a()
+	for _, c := range want {
+		r, g, bl, a := c.RGBA8()
+		hsh.Write([]byte{r, g, bl, a})
+	}
+	if got := b.Checksum(); got != hsh.Sum64() {
+		t.Errorf("Checksum = %x, want row-major %x", got, hsh.Sum64())
+	}
+	img := b.ToImage()
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			c := want[y*w+x]
+			r, g, bl, a := c.RGBA8()
+			if img.RGBAAt(x, y) != (color.RGBA{R: r, G: g, B: bl, A: a}) {
+				t.Fatalf("ToImage(%d, %d) differs", x, y)
+			}
+			if b.At(x, y) != c || b.DepthAt(x, y) != float64(x+y*w)/(w*h) || b.StencilAt(x, y) != uint8(x^y) {
+				t.Fatalf("pixel (%d, %d) did not round-trip", x, y)
+			}
+		}
+	}
+}
+
+func TestCopyTileFromWritesStayPrivate(t *testing.T) {
+	src := MustNew(128, 128)
+	src.Set(70, 70, colorspace.Opaque(1, 0, 0))
+	src.SetDepth(70, 70, 0.3)
+	src.SetStencil(70, 70, 9)
+	tile := src.TileOf(70, 70)
+	dst := MustNew(128, 128)
+	if err := dst.CopyTileFrom(src, tile); err != nil {
+		t.Fatal(err)
+	}
+
+	// A write through the copy does not show in the source.
+	dst.Set(70, 70, colorspace.Opaque(0, 1, 0))
+	dst.SetDepth(70, 70, 0.7)
+	dst.SetStencil(70, 70, 1)
+	if src.At(70, 70) != colorspace.Opaque(1, 0, 0) || src.DepthAt(70, 70) != 0.3 || src.StencilAt(70, 70) != 9 {
+		t.Error("write to the copy changed the source")
+	}
+	// A write through the source does not show in a second copy.
+	dst2 := MustNew(128, 128)
+	if err := dst2.CopyTileFrom(src, tile); err != nil {
+		t.Fatal(err)
+	}
+	src.Set(71, 71, colorspace.Opaque(0, 0, 1))
+	src.SetDepth(71, 71, 0.2)
+	if dst2.At(71, 71) != colorspace.Transparent || dst2.DepthAt(71, 71) != ClearDepth {
+		t.Error("write to the source changed the copy")
+	}
+	if dst2.At(70, 70) != colorspace.Opaque(1, 0, 0) || dst2.StencilAt(70, 70) != 9 {
+		t.Error("copy lost the source's pixels")
+	}
+	if dst.At(70, 70) != colorspace.Opaque(0, 1, 0) || dst.DepthAt(70, 70) != 0.7 {
+		t.Error("copy lost its own write")
+	}
+}
+
+func TestCloneFillColorLeavesOriginal(t *testing.T) {
+	b := MustNew(128, 128)
+	red := colorspace.Opaque(1, 0, 0)
+	b.Set(5, 5, red)
+	b.SetDepth(5, 5, 0.25)
+	c := b.Clone()
+	c.FillColor(colorspace.Transparent)
+	c.Set(6, 6, colorspace.Opaque(0, 1, 0))
+	if b.At(5, 5) != red || b.At(6, 6) != colorspace.Transparent {
+		t.Error("FillColor or a write on the clone changed the original's colour")
+	}
+	if c.At(5, 5) != colorspace.Transparent || c.DepthAt(5, 5) != 0.25 {
+		t.Error("clone did not keep depth under a transparent fill")
+	}
+	// A depth write on the original after the clone stays private.
+	b.SetDepth(5, 5, 0.5)
+	if c.DepthAt(5, 5) != 0.25 {
+		t.Error("write to the original changed the clone's depth")
+	}
+}
+
+func TestClearTileAndResetOnSharedBlock(t *testing.T) {
+	src := MustNew(128, 128)
+	green := colorspace.Opaque(0, 1, 0)
+	src.Set(1, 1, green)
+	src.SetDepth(1, 1, 0.4)
+	src.SetStencil(1, 1, 3)
+
+	dst := MustNew(128, 128)
+	if err := dst.CopyTileFrom(src, 0); err != nil {
+		t.Fatal(err)
+	}
+	dst.ClearTile(0)
+	if dst.At(1, 1) != colorspace.Transparent || dst.DepthAt(1, 1) != ClearDepth || dst.StencilAt(1, 1) != 0 || dst.Dirty(0) {
+		t.Error("ClearTile did not reset the shared tile")
+	}
+	clone := src.Clone()
+	clone.Reset()
+	if clone.At(1, 1) != colorspace.Transparent || clone.DepthAt(1, 1) != ClearDepth || len(clone.DirtyTiles()) != 0 {
+		t.Error("Reset did not reset the clone")
+	}
+	src.ClearTile(0)
+	if src.At(1, 1) != colorspace.Transparent {
+		t.Error("ClearTile on the source did not reset it")
+	}
+	// Neither side's reset reaches a buffer still holding the block.
+	keep := MustNew(128, 128)
+	src.Set(1, 1, green)
+	if err := keep.CopyTileFrom(src, 0); err != nil {
+		t.Fatal(err)
+	}
+	src.Reset()
+	if keep.At(1, 1) != green {
+		t.Error("Reset of the source changed a copy")
+	}
+
+	// ClearTile resets to transparent and far depth even when the buffer's
+	// clear value differs.
+	red := colorspace.Opaque(1, 0, 0)
+	b := MustNew(128, 128)
+	b.Clear(red, 0.5)
+	b.ClearTile(3)
+	if b.At(127, 127) != colorspace.Transparent || b.DepthAt(127, 127) != ClearDepth || b.At(0, 0) != red {
+		t.Error("ClearTile on a non-default clear value")
+	}
+}
+
+func TestCopyTileFromDifferentClearColour(t *testing.T) {
+	red := colorspace.Opaque(1, 0, 0)
+	layer := MustNew(128, 128)
+	layer.FillColor(red)
+	layer.MarkDirty(1)
+
+	// An untouched tile of the layer reads red, and so must its copy.
+	dst := MustNew(128, 128)
+	if err := dst.CopyTileFrom(layer, 1); err != nil {
+		t.Fatal(err)
+	}
+	if dst.At(100, 10) != red || dst.DepthAt(100, 10) != ClearDepth || !dst.Dirty(1) {
+		t.Error("untouched tile copied from a red layer does not read red")
+	}
+	if dst.At(10, 10) != colorspace.Transparent {
+		t.Error("copy leaked the layer's clear colour outside the tile")
+	}
+	// The other way round: a transparent tile copied into the red layer.
+	if err := layer.CopyTileFrom(MustNew(128, 128), 2); err != nil {
+		t.Fatal(err)
+	}
+	if layer.At(10, 100) != colorspace.Transparent || layer.At(100, 100) != red {
+		t.Error("transparent tile copied into a red layer")
+	}
+	// Different clear depth too.
+	deep := MustNew(128, 128)
+	deep.Clear(red, 0.5)
+	if err := dst.CopyTileFrom(deep, 3); err != nil {
+		t.Fatal(err)
+	}
+	if dst.DepthAt(100, 100) != 0.5 || dst.At(100, 100) != red {
+		t.Error("tile copied from a buffer with a different clear depth")
+	}
+}
+
+func TestConcurrentWritersCopySharedBlocks(t *testing.T) {
+	// Draw workers write to their own buffers at once while those buffers
+	// share blocks; each must copy before writing.
+	src := MustNew(256, 256)
+	for tl := 0; tl < src.TileCount(); tl++ {
+		x0, y0, _, _ := src.TileRect(tl)
+		src.Set(x0, y0, colorspace.Opaque(1, 1, 1))
+		src.SetDepth(x0, y0, 0.5)
+	}
+	const workers = 4
+	bufs := make([]*Buffer, workers)
+	for w := range bufs {
+		if w%2 == 0 {
+			bufs[w] = src.Clone()
+			continue
+		}
+		bufs[w] = MustNew(256, 256)
+		for tl := 0; tl < src.TileCount(); tl++ {
+			if err := bufs[w].CopyTileFrom(src, tl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range bufs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := colorspace.Opaque(float64(w)/workers, 0, 0)
+			for y := 0; y < 256; y += 3 {
+				for x := 0; x < 256; x += 5 {
+					_ = bufs[w].At(x, y)
+					bufs[w].Set(x, y, c)
+					bufs[w].SetDepth(x, y, float64(w)/workers)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for tl := 0; tl < src.TileCount(); tl++ {
+		x0, y0, _, _ := src.TileRect(tl)
+		if src.At(x0, y0) != colorspace.Opaque(1, 1, 1) || src.DepthAt(x0, y0) != 0.5 {
+			t.Fatalf("a worker's write reached the source in tile %d", tl)
+		}
+	}
+	for w, b := range bufs {
+		if b.At(255, 255) != colorspace.Opaque(float64(w)/workers, 0, 0) {
+			t.Errorf("worker %d's write is missing", w)
+		}
+	}
+}
+
+func TestCopyTileFromResidentTileAllocatesNothing(t *testing.T) {
+	src := MustNew(256, 256)
+	src.Set(10, 10, colorspace.Opaque(1, 0, 0))
+	src.SetDepth(10, 10, 0.5)
+	src.SetStencil(10, 10, 1)
+	dst := MustNew(256, 256)
+	if n := testing.AllocsPerRun(100, func() { _ = dst.CopyTileFrom(src, 0) }); n != 0 {
+		t.Errorf("CopyTileFrom of a resident tile: %v allocs, want 0", n)
+	}
+}
+
+func TestNewAllocatesNoPixelStorage(t *testing.T) {
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		b := MustNew(1280, 1024)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(b)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Errorf("New(1280, 1024) allocated %d B, want < 64 KiB", least)
 	}
 }

@@ -262,7 +262,6 @@ func New(id int, eng *sim.Engine, costs CostConfig, width, height int, rcfg rast
 	if err != nil {
 		return nil, fmt.Errorf("gpu %d: %w", id, err)
 	}
-	fb.ClearDirty()
 	g.targets[0] = fb
 	g.rend = raster.New(fb, rcfg)
 	return g, nil
@@ -310,7 +309,6 @@ func (g *GPU) Target(rt int) *framebuffer.Buffer {
 		// The GPU's dimensions were validated at construction, so this
 		// cannot fail.
 		fb = framebuffer.MustNew(g.width, g.height)
-		fb.ClearDirty()
 		g.targets[rt] = fb
 	}
 	return fb

@@ -263,14 +263,14 @@ func (r *Renderer) Draw(d primitive.DrawCommand, view, proj vecmath.Mat4) DrawRe
 		}
 		// Fan-triangulate the clipped polygon and rasterize each piece.
 		for k := 1; k+1 < len(poly); k++ {
-			r.rasterTri(&res, d, vp, poly[0], poly[k], poly[k+1])
+			r.rasterTri(&res, &d, &vp, &poly[0], &poly[k], &poly[k+1])
 		}
 	}
 	return res
 }
 
-func (r *Renderer) rasterTri(res *DrawResult, d primitive.DrawCommand, vp vecmath.Mat4, a, b, c clipVert) {
-	toScreen := func(v clipVert) (screenVert, bool) {
+func (r *Renderer) rasterTri(res *DrawResult, d *primitive.DrawCommand, vp *vecmath.Mat4, a, b, c *clipVert) {
+	toScreen := func(v *clipVert) (screenVert, bool) {
 		if v.pos.W <= 1e-12 {
 			return screenVert{}, false
 		}
@@ -345,12 +345,12 @@ func (r *Renderer) rasterTri(res *DrawResult, d primitive.DrawCommand, vp vecmat
 			}
 			res.FragsGenerated++
 			res.TileFrags[tile]++
-			r.processFragment(res, state, d.ID, x, y, depth, w0, w1, w2, v0, v1, v2)
+			r.processFragment(res, state, d.ID, x, y, depth, w0, w1, w2, &v0, &v1, &v2)
 		}
 	}
 }
 
-func (r *Renderer) processFragment(res *DrawResult, state primitive.RenderState, drawID, x, y int, depth, w0, w1, w2 float64, v0, v1, v2 screenVert) {
+func (r *Renderer) processFragment(res *DrawResult, state primitive.RenderState, drawID, x, y int, depth, w0, w1, w2 float64, v0, v1, v2 *screenVert) {
 	earlyCulled := false
 	if r.cfg.EarlyZ {
 		res.FragsEarlyTested++

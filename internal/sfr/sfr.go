@@ -77,14 +77,12 @@ func ReferenceImages(fr *primitive.Frame, cfg raster.Config) map[int]*framebuffe
 		fb, ok := targets[rt]
 		if !ok {
 			fb = framebuffer.MustNew(fr.Width, fr.Height)
-			fb.ClearDirty()
 			targets[rt] = fb
 		}
 		return fb
 	}
 	// Seed target 0 so the loop below can switch freely.
 	targets[0] = rend.Target()
-	targets[0].ClearDirty()
 	for _, d := range fr.Draws {
 		// All targets share the frame's dimensions; the switch cannot fail.
 		_ = rend.SetTarget(get(d.State.RenderTarget))
