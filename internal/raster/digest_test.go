@@ -22,11 +22,15 @@ var updateDigest = flag.Bool("update-digest", false, "re-record testdata/draw_di
 
 // digestScale, digestGPUs and digestGPU fix the corpus: every draw of each
 // benchmark at this scale, unmasked and with digestGPU's ownership mask
-// under round-robin interleaving across digestGPUs.
+// under round-robin interleaving across digestGPUs. The corpus also replays
+// every cod2 draw at full scale under GPU wideGPU's mask across wideGPUs,
+// the sparse 64-GPU ownership of the full-scale frame.
 const (
 	digestScale = 0.05
 	digestGPUs  = 8
 	digestGPU   = 3
+	wideGPUs    = 64
+	wideGPU     = 37
 )
 
 var digestBenches = []string{"cod2", "wolf"}
@@ -44,12 +48,23 @@ func (w *digestWriter) u64(v uint64) {
 
 func (w *digestWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 
+// ownerMask returns gpu's tile-ownership mask for fr's screen under
+// round-robin interleaving across gpus.
+func ownerMask(fr *primitive.Frame, gpu, gpus int) []bool {
+	ts := framebuffer.TileSize
+	own := make([]bool, ((fr.Width+ts-1)/ts)*((fr.Height+ts-1)/ts))
+	for tl := range own {
+		own[tl] = framebuffer.OwnerOf(tl, gpus) == gpu
+	}
+	return own
+}
+
 // drawDigest replays every draw of the benchmark's frame through one
 // Renderer, restricted to own (nil owns every tile), and returns a line
-// naming the run, its draw and fragment totals, a hash of every draw's
-// DrawResult (all counters and TileFrags), and a hash of every render
-// target's final colour, depth and stencil in row-major order.
-func drawDigest(t *testing.T, bench string, fr *primitive.Frame, own []bool) string {
+// naming the run (bench and mode), its draw and fragment totals, a hash of
+// every draw's DrawResult (all counters and TileFrags), and a hash of every
+// render target's final colour, depth and stencil in row-major order.
+func drawDigest(t *testing.T, bench, mode string, fr *primitive.Frame, own []bool) string {
 	t.Helper()
 	targets := map[int]*framebuffer.Buffer{}
 	for _, d := range fr.Draws {
@@ -107,10 +122,6 @@ func drawDigest(t *testing.T, bench string, fr *primitive.Frame, own []bool) str
 		}
 	}
 
-	mode := "all"
-	if own != nil {
-		mode = fmt.Sprintf("gpu%d/%d", digestGPU, digestGPUs)
-	}
 	return fmt.Sprintf("%s %s draws=%d frags=%d results=%016x targets=%016x",
 		bench, mode, len(fr.Draws), frags, draws.h.Sum64(), pixels.h.Sum64())
 }
@@ -128,14 +139,17 @@ func TestDrawDigestCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		fr := trace.Generate(b, digestScale)
-		lines = append(lines, drawDigest(t, bench, fr, nil))
-		ts := framebuffer.TileSize
-		own := make([]bool, ((fr.Width+ts-1)/ts)*((fr.Height+ts-1)/ts))
-		for tl := range own {
-			own[tl] = framebuffer.OwnerOf(tl, digestGPUs) == digestGPU
-		}
-		lines = append(lines, drawDigest(t, bench, fr, own))
+		lines = append(lines, drawDigest(t, bench, "all", fr, nil))
+		lines = append(lines, drawDigest(t, bench, fmt.Sprintf("gpu%d/%d", digestGPU, digestGPUs),
+			fr, ownerMask(fr, digestGPU, digestGPUs)))
 	}
+	b, err := trace.ByName("cod2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := trace.Generate(b, 1.0)
+	lines = append(lines, drawDigest(t, "cod2@1.0", fmt.Sprintf("gpu%d/%d", wideGPU, wideGPUs),
+		fr, ownerMask(fr, wideGPU, wideGPUs)))
 	got := strings.Join(lines, "\n") + "\n"
 
 	path := filepath.Join("testdata", "draw_digest.txt")
@@ -169,11 +183,7 @@ func BenchmarkDraw(b *testing.B) {
 		b.Fatal(err)
 	}
 	fr := trace.Generate(bench, 0.25)
-	ts := framebuffer.TileSize
-	own := make([]bool, ((fr.Width+ts-1)/ts)*((fr.Height+ts-1)/ts))
-	for tl := range own {
-		own[tl] = framebuffer.OwnerOf(tl, 8) == 0
-	}
+	own := ownerMask(fr, 0, 8)
 	for _, c := range []struct {
 		name string
 		own  []bool
