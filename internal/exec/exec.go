@@ -59,6 +59,10 @@ type Runtime struct {
 	err      error
 	wd       *Watchdog
 	barriers []*Barrier
+	// pruneAt is the registry length at which TracedBarrier next drops
+	// released barriers, keeping the registry proportional to the live
+	// barriers at amortized O(1) cost per registration.
+	pruneAt int
 
 	// planState, when set, supplies the active exchange plan's state for
 	// watchdog diagnostics (see SetPlanState).
@@ -230,6 +234,10 @@ func (r *Runtime) TracedBarrier(name string, fn func()) *Barrier {
 	if r.tr != nil {
 		b.Trace(r.Sys.Eng, r.tr, r.trBarriers, name)
 	}
+	if len(r.barriers) >= r.pruneAt {
+		r.pruneBarriers()
+		r.pruneAt = max(minPruneAt, 2*len(r.barriers))
+	}
 	r.barriers = append(r.barriers, b)
 	if r.wd != nil {
 		b.wd = r.wd
@@ -247,13 +255,18 @@ func (b *Barrier) Trace(eng *sim.Engine, tr *obs.Tracer, tk obs.Track, name stri
 // release emits the wait span (if armed) and runs the continuation. The wait
 // is category-tagged queueing: seal-to-release is pure waiting on the last
 // registered completion, the join point the causal graph builder turns into
-// barrier edges (DESIGN.md §11).
+// barrier edges (DESIGN.md §11). The barrier drops its continuation before
+// running it: whatever the continuation captured (a scheme's group state,
+// every GPU's work buffers) must not outlive the release just because the
+// runtime's registry still points at the barrier.
 func (b *Barrier) release() {
 	b.released = true
+	fn := b.fn
+	b.fn = nil
 	if b.tr != nil {
 		b.tr.Span(b.track, b.name, b.sealAt, b.eng.Now()-b.sealAt, obs.CatArg(obs.CatQueueing))
 	}
-	b.fn()
+	fn()
 }
 
 // Add registers n outstanding completions.

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"chopin/internal/multigpu"
 	"chopin/internal/primitive"
@@ -104,6 +106,55 @@ func TestBarrierSealDeferred(t *testing.T) {
 	eng.Run()
 	if !fired {
 		t.Fatal("SealDeferred never fired")
+	}
+}
+
+// TestReleasedBarrierDropsContinuation: once a traced barrier releases,
+// the runtime holds nothing that keeps its continuation's captures
+// reachable, though the barrier stays registered until the next prune.
+func TestReleasedBarrierDropsContinuation(t *testing.T) {
+	r := testRuntime(1)
+	freed := make(chan struct{})
+	func() {
+		held := new([1 << 10]byte)
+		runtime.SetFinalizer(held, func(*[1 << 10]byte) { close(freed) })
+		bar := r.TracedBarrier("captures", func() { held[0]++ })
+		bar.Seal()
+	}()
+	collected := false
+	for i := 0; i < 20 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Fatal("a released barrier's continuation is still reachable from the runtime")
+	}
+	runtime.KeepAlive(r)
+}
+
+// TestBarrierRegistryStaysBounded: a frame registering many short-lived
+// barriers keeps its registry proportional to the live ones, and pruning
+// never drops an unreleased barrier.
+func TestBarrierRegistryStaysBounded(t *testing.T) {
+	r := testRuntime(1)
+	live := r.TracedBarrier("live", func() {})
+	live.Add(1)
+	for i := 0; i < 10000; i++ {
+		r.TracedBarrier("short", func() {}).Seal()
+	}
+	if n := len(r.barriers); n > 2*minPruneAt {
+		t.Fatalf("registry holds %d barriers after 10000 released ones, want <= %d", n, 2*minPruneAt)
+	}
+	states := r.liveBarriers()
+	if len(states) != 1 || states[0].Name != "live" {
+		t.Fatalf("live barriers = %v, want only the unreleased one", states)
+	}
+	if len(r.barriers) != 1 {
+		t.Fatalf("registry holds %d barriers after liveBarriers, want 1", len(r.barriers))
 	}
 }
 

@@ -231,20 +231,32 @@ func (w *Watchdog) tick() {
 	w.r.Sys.Eng.After(w.interval, w.tick)
 }
 
-// liveBarriers snapshots the runtime's unreleased barriers and prunes the
-// released ones from the registry.
+// liveBarriers prunes the released barriers from the runtime's registry and
+// snapshots the unreleased ones.
 func (r *Runtime) liveBarriers() []BarrierState {
+	r.pruneBarriers()
 	var out []BarrierState
-	kept := r.barriers[:0]
 	for _, b := range r.barriers {
-		if b.released {
-			continue
-		}
-		kept = append(kept, b)
 		out = append(out, BarrierState{Name: b.name, Pending: b.pending, Sealed: b.sealed})
 	}
-	r.barriers = kept
 	return out
+}
+
+// minPruneAt is the smallest registry length at which TracedBarrier prunes.
+const minPruneAt = 64
+
+// pruneBarriers drops released barriers from the registry, keeping the
+// unreleased ones in registration order, and clears the vacated tail so
+// the backing array holds no pointer to a dropped barrier.
+func (r *Runtime) pruneBarriers() {
+	kept := r.barriers[:0]
+	for _, b := range r.barriers {
+		if !b.released {
+			kept = append(kept, b)
+		}
+	}
+	clear(r.barriers[len(kept):])
+	r.barriers = kept
 }
 
 // gpuStates snapshots every GPU for a diagnostic.

@@ -7,7 +7,6 @@ import (
 	"chopin/internal/colorspace"
 	"chopin/internal/framebuffer"
 	"chopin/internal/primitive"
-	"chopin/internal/shade"
 	"chopin/internal/vecmath"
 )
 
@@ -310,22 +309,6 @@ func TestDrawResultAdd(t *testing.T) {
 	}
 }
 
-func TestCustomPixelShader(t *testing.T) {
-	const w, h = 8, 8
-	fb := framebuffer.MustNew(w, h)
-	r := New(fb, DefaultConfig())
-	r.SetProgram(shade.Program{
-		Vertex: shade.TransformVertex,
-		Pixel:  shade.TintPixel(colorspace.RGBA{R: 0, G: 1, B: 0, A: 1}),
-	})
-	view, proj := orthoCams(w, h)
-	r.Draw(quadDraw(0, colorspace.Opaque(1, 1, 1), 5, 0, 0, w, h), view, proj)
-	want := colorspace.RGBA{R: 0, G: 1, B: 0, A: 1}
-	if got := fb.At(4, 4); !got.ApproxEqual(want, 1e-9) {
-		t.Errorf("tinted pixel = %+v", got)
-	}
-}
-
 func TestSetTargetAndMismatchErrors(t *testing.T) {
 	fb := framebuffer.MustNew(8, 8)
 	r := New(fb, DefaultConfig())
@@ -354,7 +337,7 @@ func TestProjectBounds(t *testing.T) {
 	mvp := proj.Mul(view)
 	tr := tri(colorspace.Opaque(1, 1, 1), 5,
 		vecmath.Vec2{X: 10, Y: 20}, vecmath.Vec2{X: 30, Y: 20}, vecmath.Vec2{X: 10, Y: 40})
-	minX, minY, maxX, maxY, ok := ProjectBounds(tr, mvp, w, h)
+	minX, minY, maxX, maxY, ok := ProjectBounds(&tr, &mvp, w, h)
 	if !ok {
 		t.Fatal("triangle should be visible")
 	}
@@ -365,7 +348,7 @@ func TestProjectBounds(t *testing.T) {
 	// Fully offscreen.
 	off := tri(colorspace.Opaque(1, 1, 1), 5,
 		vecmath.Vec2{X: -50, Y: -50}, vecmath.Vec2{X: -10, Y: -50}, vecmath.Vec2{X: -50, Y: -10})
-	if _, _, _, _, ok := ProjectBounds(off, mvp, w, h); ok {
+	if _, _, _, _, ok := ProjectBounds(&off, &mvp, w, h); ok {
 		t.Error("offscreen triangle should not be visible")
 	}
 }
@@ -378,17 +361,35 @@ func TestCoveredTiles(t *testing.T) {
 	// Triangle inside tile (0,0) only.
 	tr := tri(colorspace.Opaque(1, 1, 1), 5,
 		vecmath.Vec2{X: 5, Y: 5}, vecmath.Vec2{X: 60, Y: 5}, vecmath.Vec2{X: 5, Y: 60})
-	tiles := CoveredTiles(tr, mvp, w, h)
-	if len(tiles) != 1 || tiles[0] != 0 {
-		t.Errorf("tiles = %v, want [0]", tiles)
+	rect, ok := CoveredTiles(&tr, &mvp, w, h)
+	if want := (TileRect{X0: 0, Y0: 0, X1: 0, Y1: 0, TilesX: 4}); !ok || rect != want {
+		t.Errorf("tiles = %+v, %v; want %+v", rect, ok, want)
+	}
+	if got := rect.Tile(rect.X1, rect.Y1); got != 0 {
+		t.Errorf("Tile = %d, want 0", got)
 	}
 
 	// Triangle spanning all four columns of the top row.
 	wide := tri(colorspace.Opaque(1, 1, 1), 5,
 		vecmath.Vec2{X: 1, Y: 10}, vecmath.Vec2{X: 255, Y: 10}, vecmath.Vec2{X: 128, Y: 50})
-	tiles = CoveredTiles(wide, mvp, w, h)
-	if len(tiles) != 4 {
-		t.Errorf("tiles = %v, want top row", tiles)
+	rect, ok = CoveredTiles(&wide, &mvp, w, h)
+	if want := (TileRect{X0: 0, Y0: 0, X1: 3, Y1: 0, TilesX: 4}); !ok || rect != want {
+		t.Errorf("tiles = %+v, %v; want top row %+v", rect, ok, want)
+	}
+
+	// Triangle in the bottom-right tile: index 7 of the 4×2 grid.
+	br := tri(colorspace.Opaque(1, 1, 1), 5,
+		vecmath.Vec2{X: 200, Y: 70}, vecmath.Vec2{X: 250, Y: 70}, vecmath.Vec2{X: 200, Y: 120})
+	rect, ok = CoveredTiles(&br, &mvp, w, h)
+	if !ok || rect.Tile(rect.X0, rect.Y0) != 7 || rect.X0 != rect.X1 || rect.Y0 != rect.Y1 {
+		t.Errorf("tiles = %+v, %v; want tile 7 only", rect, ok)
+	}
+
+	// Fully offscreen.
+	off := tri(colorspace.Opaque(1, 1, 1), 5,
+		vecmath.Vec2{X: -50, Y: -50}, vecmath.Vec2{X: -10, Y: -50}, vecmath.Vec2{X: -50, Y: -10})
+	if _, ok := CoveredTiles(&off, &mvp, w, h); ok {
+		t.Error("offscreen triangle should cover no tiles")
 	}
 }
 

@@ -1,11 +1,12 @@
-// Package shade models the programmable shader stages of the pipeline: the
-// vertex shader that projects object-space vertices to clip space, and the
-// pixel shader that computes fragment colours.
+// Package shade models the programmable vertex stage of the pipeline: the
+// vertex shader that projects object-space vertices to clip space.
 //
-// Shaders here are ordinary Go functions. The rasterizer invokes them at the
-// same points a real GPU's SMs would, and the timing model charges
-// per-invocation cycle costs scaled by each draw command's VertexCost and
-// PixelCost factors.
+// The shader is an ordinary Go function. The rasterizer's per-draw setup
+// invokes it once per vertex, at the point a real GPU's SMs would, and the
+// timing model charges per-invocation cycle costs scaled by each draw
+// command's VertexCost factor. Fragments keep their interpolated colour:
+// the pixel stage is the fixed-function texture modulate in package raster,
+// charged by each draw's PixelCost factor.
 package shade
 
 import (
@@ -26,67 +27,11 @@ type VertexOut struct {
 	UV vecmath.Vec2
 }
 
-// PixelIn is the interpolated fragment input to a pixel shader.
-type PixelIn struct {
-	// X, Y are the fragment's pixel coordinates.
-	X, Y int
-	// Depth is the fragment's NDC depth in [0, 1].
-	Depth float64
-	// Color is the perspectively-interpolated vertex colour (already
-	// modulated by the bound texture for textured draws).
-	Color colorspace.RGBA
-	// U, V are the interpolated texture coordinates.
-	U, V float64
-}
-
-// VertexShader transforms one vertex by the combined model-view-projection
-// matrix.
-type VertexShader func(v primitive.Vertex, mvp vecmath.Mat4) VertexOut
-
-// PixelShader computes a fragment's final colour.
-type PixelShader func(in PixelIn) colorspace.RGBA
-
-// Program is a vertex- plus pixel-shader pair bound for a draw.
-type Program struct {
-	Vertex VertexShader
-	Pixel  PixelShader
-}
-
-// DefaultProgram returns the standard program: MVP transform with
-// pass-through colour in both stages.
-func DefaultProgram() Program {
-	return Program{Vertex: TransformVertex, Pixel: PassthroughPixel}
-}
-
-// TransformVertex is the standard vertex shader: position through the MVP
-// matrix, colour passed through.
-func TransformVertex(v primitive.Vertex, mvp vecmath.Mat4) VertexOut {
-	return VertexOut{
-		ClipPos: mvp.MulVec4(vecmath.FromVec3(v.Position, 1)),
-		Color:   v.Color,
-		UV:      v.UV,
-	}
-}
-
-// PassthroughPixel is the standard pixel shader: the interpolated vertex
-// colour, unchanged.
-func PassthroughPixel(in PixelIn) colorspace.RGBA { return in.Color }
-
-// DepthFogPixel returns a pixel shader that fades the interpolated colour
-// toward fogColor with depth, a cheap stand-in for distance fog used by the
-// example applications.
-func DepthFogPixel(fogColor colorspace.RGBA, density float64) PixelShader {
-	return func(in PixelIn) colorspace.RGBA {
-		t := in.Depth * density
-		if t > 1 {
-			t = 1
-		}
-		return in.Color.Scale(1 - t).Add(fogColor.Scale(t))
-	}
-}
-
-// TintPixel returns a pixel shader that modulates the interpolated colour by
-// a constant tint.
-func TintPixel(tint colorspace.RGBA) PixelShader {
-	return func(in PixelIn) colorspace.RGBA { return in.Color.Mul(tint) }
+// TransformVertex is the vertex shader: it writes v's position through the
+// MVP matrix, and its colour and texture coordinate unchanged, to out. All
+// three are pointers so the per-vertex call copies no vertex or matrix.
+func TransformVertex(out *VertexOut, v *primitive.Vertex, mvp *vecmath.Mat4) {
+	out.ClipPos = mvp.MulVec4(vecmath.FromVec3(v.Position, 1))
+	out.Color = v.Color
+	out.UV = v.UV
 }

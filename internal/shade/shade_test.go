@@ -1,7 +1,6 @@
 package shade
 
 import (
-	"math"
 	"testing"
 
 	"chopin/internal/colorspace"
@@ -15,56 +14,12 @@ func TestTransformVertex(t *testing.T) {
 		Color:    colorspace.Opaque(1, 0, 0),
 	}
 	mvp := vecmath.Translate(vecmath.Vec3{X: 10})
-	out := TransformVertex(v, mvp)
+	var out VertexOut
+	TransformVertex(&out, &v, &mvp)
 	if out.ClipPos.X != 11 || out.ClipPos.Y != 2 || out.ClipPos.Z != 3 || out.ClipPos.W != 1 {
 		t.Errorf("ClipPos = %+v", out.ClipPos)
 	}
 	if out.Color != v.Color {
 		t.Error("colour not passed through")
-	}
-}
-
-func TestPassthroughPixel(t *testing.T) {
-	in := PixelIn{Color: colorspace.Opaque(0.2, 0.4, 0.6)}
-	if got := PassthroughPixel(in); got != in.Color {
-		t.Errorf("passthrough = %+v", got)
-	}
-}
-
-func TestDepthFogPixel(t *testing.T) {
-	fog := colorspace.Opaque(1, 1, 1)
-	shader := DepthFogPixel(fog, 1)
-	near := shader(PixelIn{Depth: 0, Color: colorspace.Opaque(0, 0, 0)})
-	if !near.ApproxEqual(colorspace.Opaque(0, 0, 0), 1e-12) {
-		t.Errorf("near fragment fogged: %+v", near)
-	}
-	far := shader(PixelIn{Depth: 1, Color: colorspace.Opaque(0, 0, 0)})
-	if !far.ApproxEqual(fog, 1e-12) {
-		t.Errorf("far fragment not fully fogged: %+v", far)
-	}
-	mid := shader(PixelIn{Depth: 0.5, Color: colorspace.Opaque(0, 0, 0)})
-	if math.Abs(mid.R-0.5) > 1e-12 {
-		t.Errorf("mid fog = %+v", mid)
-	}
-	// Density clamps at full fog.
-	dense := DepthFogPixel(fog, 10)(PixelIn{Depth: 0.5, Color: colorspace.Opaque(0, 0, 0)})
-	if !dense.ApproxEqual(fog, 1e-12) {
-		t.Errorf("dense fog = %+v", dense)
-	}
-}
-
-func TestTintPixel(t *testing.T) {
-	shader := TintPixel(colorspace.RGBA{R: 0.5, G: 1, B: 0, A: 1})
-	got := shader(PixelIn{Color: colorspace.Opaque(1, 1, 1)})
-	want := colorspace.RGBA{R: 0.5, G: 1, B: 0, A: 1}
-	if !got.ApproxEqual(want, 1e-12) {
-		t.Errorf("tint = %+v", got)
-	}
-}
-
-func TestDefaultProgram(t *testing.T) {
-	p := DefaultProgram()
-	if p.Vertex == nil || p.Pixel == nil {
-		t.Fatal("default program incomplete")
 	}
 }

@@ -33,7 +33,7 @@ func (m Mat4) Mul(n Mat4) Mat4 {
 }
 
 // MulVec4 returns m·v.
-func (m Mat4) MulVec4(v Vec4) Vec4 {
+func (m *Mat4) MulVec4(v Vec4) Vec4 {
 	return Vec4{
 		m[0][0]*v.X + m[0][1]*v.Y + m[0][2]*v.Z + m[0][3]*v.W,
 		m[1][0]*v.X + m[1][1]*v.Y + m[1][2]*v.Z + m[1][3]*v.W,
@@ -44,12 +44,12 @@ func (m Mat4) MulVec4(v Vec4) Vec4 {
 
 // MulPoint transforms the 3D point p (w=1) and applies the perspective
 // divide.
-func (m Mat4) MulPoint(p Vec3) Vec3 {
+func (m *Mat4) MulPoint(p Vec3) Vec3 {
 	return m.MulVec4(FromVec3(p, 1)).PerspectiveDivide()
 }
 
 // MulDir transforms the direction d (w=0), ignoring translation.
-func (m Mat4) MulDir(d Vec3) Vec3 {
+func (m *Mat4) MulDir(d Vec3) Vec3 {
 	return m.MulVec4(FromVec3(d, 0)).Vec3()
 }
 

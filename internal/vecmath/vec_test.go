@@ -137,7 +137,8 @@ func TestVec4Lerp(t *testing.T) {
 
 func TestMat4Identity(t *testing.T) {
 	v := Vec4{1, 2, 3, 4}
-	if got := Identity().MulVec4(v); got != v {
+	id := Identity()
+	if got := id.MulVec4(v); got != v {
 		t.Errorf("I·v = %v", got)
 	}
 }
@@ -147,7 +148,8 @@ func TestMat4MulAssociative(t *testing.T) {
 	b := RotateY(0.7)
 	c := ScaleUniform(2)
 	v := Vec4{1, -1, 2, 1}
-	left := a.Mul(b).Mul(c).MulVec4(v)
+	abc := a.Mul(b).Mul(c)
+	left := abc.MulVec4(v)
 	right := a.MulVec4(b.MulVec4(c.MulVec4(v)))
 	if !vec4Close(left, right) {
 		t.Errorf("associativity broken: %v vs %v", left, right)
@@ -174,13 +176,14 @@ func TestTranslate(t *testing.T) {
 }
 
 func TestRotations(t *testing.T) {
-	if got := RotateZ(math.Pi / 2).MulPoint(Vec3{1, 0, 0}); !vec3Close(got, Vec3{0, 1, 0}) {
+	rz, rx, ry := RotateZ(math.Pi/2), RotateX(math.Pi/2), RotateY(math.Pi/2)
+	if got := rz.MulPoint(Vec3{1, 0, 0}); !vec3Close(got, Vec3{0, 1, 0}) {
 		t.Errorf("RotateZ(90°)·x̂ = %v", got)
 	}
-	if got := RotateX(math.Pi / 2).MulPoint(Vec3{0, 1, 0}); !vec3Close(got, Vec3{0, 0, 1}) {
+	if got := rx.MulPoint(Vec3{0, 1, 0}); !vec3Close(got, Vec3{0, 0, 1}) {
 		t.Errorf("RotateX(90°)·ŷ = %v", got)
 	}
-	if got := RotateY(math.Pi / 2).MulPoint(Vec3{0, 0, 1}); !vec3Close(got, Vec3{1, 0, 0}) {
+	if got := ry.MulPoint(Vec3{0, 0, 1}); !vec3Close(got, Vec3{1, 0, 0}) {
 		t.Errorf("RotateY(90°)·ẑ = %v", got)
 	}
 }
@@ -195,7 +198,8 @@ func TestRotationPreservesLength(t *testing.T) {
 			return math.Mod(v, 100)
 		}
 		v := Vec3{clamp(x), clamp(y), clamp(z)}
-		r := RotateY(angle).MulDir(v)
+		rot := RotateY(angle)
+		r := rot.MulDir(v)
 		return math.Abs(r.Len()-v.Len()) < 1e-9*(1+v.Len())
 	}
 	if err := quick.Check(f, nil); err != nil {
