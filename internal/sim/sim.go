@@ -338,9 +338,10 @@ func (e *Engine) SequentialWindows() int64 { return 0 }
 // on the caller's goroutine; simulation results must not depend on which
 // path was taken.
 //
-// The timing model uses this to fan the functional rasterization of
-// already-ordered draw batches across cores (multigpu.System.SubmitDraws)
-// while all event scheduling stays on the dispatching goroutine.
+// The timing model uses this to fan the per-GPU raster passes of
+// already-ordered, already-set-up draw batches across cores
+// (multigpu.System.SubmitDraws) while all event scheduling stays on the
+// dispatching goroutine.
 func (e *Engine) Fanout(n int, fn func(i int)) {
 	w := e.Workers()
 	if w > n {
