@@ -62,7 +62,7 @@ func ownerMask(fr *primitive.Frame, gpu, gpus int) []bool {
 // drawDigest replays every draw of the benchmark's frame through one
 // Renderer, restricted to own (nil owns every tile), and returns a line
 // naming the run (bench and mode), its draw and fragment totals, a hash of
-// every draw's DrawResult (all counters and TileFrags), and a hash of every
+// every draw's DrawResult counters, and a hash of every
 // render target's final colour, depth and stencil in row-major order.
 func drawDigest(t *testing.T, bench, mode string, fr *primitive.Frame, own []bool) string {
 	t.Helper()
@@ -94,10 +94,6 @@ func drawDigest(t *testing.T, bench, mode string, fr *primitive.Frame, own []boo
 		} {
 			draws.u64(uint64(v))
 		}
-		draws.u64(uint64(len(r.TileFrags)))
-		for _, n := range r.TileFrags {
-			draws.u64(uint64(n))
-		}
 	}
 
 	pixels := &digestWriter{h: fnv.New64a()}
@@ -128,9 +124,9 @@ func drawDigest(t *testing.T, bench, mode string, fr *primitive.Frame, own []boo
 
 // TestDrawDigestCorpus is the raster layer's bit-exact oracle: any change to
 // rasterization, depth testing, blending or framebuffer storage that alters
-// one counter, one per-tile fragment count or one bit of one pixel changes a
-// digest. Re-record with `go test ./internal/raster -run TestDrawDigestCorpus
-// -update-digest` only when a change sets out to alter raster output.
+// one counter or one bit of one pixel changes a digest. Re-record with `go
+// test ./internal/raster -run TestDrawDigestCorpus -update-digest` only when
+// a change sets out to alter raster output.
 func TestDrawDigestCorpus(t *testing.T) {
 	var lines []string
 	for _, bench := range digestBenches {
