@@ -83,13 +83,9 @@ type DrawResult struct {
 	// TexSamples is the number of texture samples issued by shaded
 	// fragments of textured draws (TEX unit work + memory traffic).
 	TexSamples int
-	// TileFrags is the per-tile count of generated fragments, indexed by
-	// tile. Only owned tiles accumulate counts.
-	TileFrags []int32
 }
 
-// Add accumulates o into r (TileFrags are summed element-wise; both results
-// must come from buffers with the same tile count, or either may be nil).
+// Add accumulates o into r.
 func (r *DrawResult) Add(o DrawResult) {
 	r.VerticesShaded += o.VerticesShaded
 	r.TrianglesIn += o.TrianglesIn
@@ -103,14 +99,6 @@ func (r *DrawResult) Add(o DrawResult) {
 	r.FragsWritten += o.FragsWritten
 	r.FragsRetained += o.FragsRetained
 	r.TexSamples += o.TexSamples
-	if o.TileFrags != nil {
-		if r.TileFrags == nil {
-			r.TileFrags = make([]int32, len(o.TileFrags))
-		}
-		for i, v := range o.TileFrags {
-			r.TileFrags[i] += v
-		}
-	}
 }
 
 // DepthPassed returns the total fragments that passed a depth/stencil test
@@ -427,8 +415,7 @@ func (r *Renderer) Draw(d primitive.DrawCommand, view, proj vecmath.Mat4) DrawRe
 
 // Raster runs the per-GPU raster pass over the setup's current chunk
 // against the current target, ownership mask and depth state, and adds the
-// chunk's workload statistics to res, allocating res.TileFrags on first
-// use. Rasterizing every chunk of a draw into one zero DrawResult yields
+// chunk's workload statistics to res. Rasterizing every chunk of a draw into one zero DrawResult yields
 // the draw's statistics. s must be built for the target's dimensions; it is
 // only read. The vertex and triangle counters come from the setup, so every
 // renderer of a shared setup reports (and is charged for) the full
@@ -438,9 +425,6 @@ func (r *Renderer) Raster(s *Setup, res *DrawResult) {
 	res.VerticesShaded += 3 * s.in
 	res.TrianglesIn += s.in
 	res.TrianglesRasterized += s.trisRast
-	if res.TileFrags == nil {
-		res.TileFrags = make([]int32, r.tileCnt)
-	}
 	r.curTex = nil
 	if d.TextureID > 0 && d.TextureID <= len(r.texs) {
 		r.curTex = r.texs[d.TextureID-1]
@@ -496,7 +480,6 @@ func (r *Renderer) rasterTri(res *DrawResult, d *primitive.DrawCommand, t *setup
 						continue // beyond the far plane (near is handled by clipping)
 					}
 					res.FragsGenerated++
-					res.TileFrags[tile]++
 					r.processFragment(res, d, x, y, depth, w0, w1, w2, v0, v1, v2)
 				}
 			}

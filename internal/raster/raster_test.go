@@ -239,32 +239,11 @@ func TestOwnershipRestrictsFragments(t *testing.T) {
 	if res.FragsGenerated != 64*64 {
 		t.Errorf("FragsGenerated = %d, want %d", res.FragsGenerated, 64*64)
 	}
-	if res.TileFrags[0] != 64*64 || res.TileFrags[1] != 0 {
-		t.Errorf("TileFrags = %v", res.TileFrags[:4])
-	}
 	if fb.At(100, 100) != (colorspace.RGBA{}) {
 		t.Error("wrote outside owned tile")
 	}
 	if fb.At(10, 10) != colorspace.Opaque(1, 1, 1) {
 		t.Error("did not write inside owned tile")
-	}
-}
-
-func TestTileFragsMatchTotal(t *testing.T) {
-	const w, h = 192, 128
-	fb := framebuffer.MustNew(w, h)
-	r := New(fb, DefaultConfig())
-	view, proj := orthoCams(w, h)
-	res := r.Draw(quadDraw(0, colorspace.Opaque(1, 1, 1), 3, 10, 10, 150, 100), view, proj)
-	sum := 0
-	for _, v := range res.TileFrags {
-		sum += int(v)
-	}
-	if sum != res.FragsGenerated {
-		t.Errorf("tile sum %d != generated %d", sum, res.FragsGenerated)
-	}
-	if res.FragsGenerated != 140*90 {
-		t.Errorf("FragsGenerated = %d, want %d", res.FragsGenerated, 140*90)
 	}
 }
 
@@ -295,14 +274,11 @@ func TestRetainCulledFraction(t *testing.T) {
 }
 
 func TestDrawResultAdd(t *testing.T) {
-	a := DrawResult{FragsGenerated: 1, TileFrags: []int32{1, 0}}
-	b := DrawResult{FragsGenerated: 2, FragsShaded: 3, TileFrags: []int32{0, 2}}
+	a := DrawResult{FragsGenerated: 1}
+	b := DrawResult{FragsGenerated: 2, FragsShaded: 3}
 	a.Add(b)
 	if a.FragsGenerated != 3 || a.FragsShaded != 3 {
 		t.Errorf("Add = %+v", a)
-	}
-	if a.TileFrags[0] != 1 || a.TileFrags[1] != 2 {
-		t.Errorf("TileFrags = %v", a.TileFrags)
 	}
 	if a.DepthPassed() != 0 {
 		t.Errorf("DepthPassed = %d", a.DepthPassed())
