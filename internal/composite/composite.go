@@ -46,25 +46,7 @@ type Traffic struct {
 // untouched tiles cannot contribute — and the number of transferred pixels
 // is returned for traffic accounting. Passing nil tiles merges every tile.
 func DepthMerge(dst, src *framebuffer.Buffer, cmp colorspace.CompareFunc, tiles []int) (pixels int) {
-	if tiles == nil {
-		tiles = allTiles(dst)
-	}
-	for _, tl := range tiles {
-		if !src.Dirty(tl) {
-			continue
-		}
-		x0, y0, x1, y1 := dst.TileRect(tl)
-		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				if colorspace.Compare(cmp, src.DepthAt(x, y), dst.DepthAt(x, y)) {
-					dst.Set(x, y, src.At(x, y))
-					dst.SetDepth(x, y, src.DepthAt(x, y))
-				}
-			}
-		}
-		pixels += dst.TilePixelCount(tl)
-	}
-	return pixels
+	return DepthMergeRegion(dst, src, cmp, 0, dst.Height(), tiles)
 }
 
 // BlendMerge composes the FRONT sub-image src over the BACK sub-image dst
