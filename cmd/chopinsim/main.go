@@ -108,7 +108,6 @@ func main() {
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		workers = flag.Int("workers", 0, "concurrent simulations per experiment (0 = GOMAXPROCS)")
-		engineW = flag.Int("engine-workers", 0, "draw worker goroutines per simulation: >1 rasterizes each draw batch's GPUs in parallel, byte-identical output (0/1 = inline)")
 
 		faults     = flag.String("faults", "", "single run: fault-injection spec (drop=P,corrupt=P,dup=P,delay=P:C,degrade=F@A:B,stall=G@A+D,fail=G@A,link:A-B@T) or 'random'")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault plan (with -faults)")
@@ -164,7 +163,6 @@ func main() {
 		opt.Verbose = *verbose
 		opt.Out = os.Stderr
 		opt.Workers = *workers
-		opt.EngineWorkers = *engineW
 		if err := experiments.UpdateGolden(*gdir, opt); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
@@ -172,7 +170,7 @@ func main() {
 		fmt.Printf("re-recorded %d golden files in %s\n", len(experiments.IDs()), *gdir)
 	case *self:
 		opt := experiments.Options{Scale: *scale, Verify: *verify, Verbose: *verbose, Out: os.Stderr,
-			Workers: *workers, EngineWorkers: *engineW}
+			Workers: *workers}
 		if *benches != "" {
 			opt.Benchmarks = strings.Split(*benches, ",")
 		}
@@ -196,12 +194,11 @@ func main() {
 		}
 	case *exp != "":
 		opt := experiments.Options{
-			Scale:         *scale,
-			Verify:        *verify,
-			Verbose:       *verbose,
-			Out:           os.Stderr,
-			Workers:       *workers,
-			EngineWorkers: *engineW,
+			Scale:   *scale,
+			Verify:  *verify,
+			Verbose: *verbose,
+			Out:     os.Stderr,
+			Workers: *workers,
 		}
 		if *timeout > 0 {
 			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -274,7 +271,7 @@ func main() {
 		}
 		fo := faultOpts{spec: *faults, seed: *faultSeed, timeout: *timeout, straggler: sim.Cycle(*stragglerW)}
 		so := scaleOpts{topology: *topo, compAlg: *compAlg, radixK: *radixK}
-		if err := runSingle(*scheme, *bench, *gpus, *engineW, *scale, *ideal, *verify, *fabSum, *pngOut, *runrecOut, to, fo, so); err != nil {
+		if err := runSingle(*scheme, *bench, *gpus, *scale, *ideal, *verify, *fabSum, *pngOut, *runrecOut, to, fo, so); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -368,7 +365,7 @@ func serveMonitor(addr string) (*live.Monitor, error) {
 	return mon, nil
 }
 
-func runSingle(scheme, bench string, gpus, engineWorkers int, scale float64, ideal, verify, fabricSummary bool, pngOut, recOut string, to traceOpts, fo faultOpts, so scaleOpts) error {
+func runSingle(scheme, bench string, gpus int, scale float64, ideal, verify, fabricSummary bool, pngOut, recOut string, to traceOpts, fo faultOpts, so scaleOpts) error {
 	b, err := trace.ByName(bench)
 	if err != nil {
 		return err
@@ -376,7 +373,6 @@ func runSingle(scheme, bench string, gpus, engineWorkers int, scale float64, ide
 	fr := trace.Generate(b, scale)
 	cfg := multigpu.DefaultConfig()
 	cfg.NumGPUs = gpus
-	cfg.EngineWorkers = engineWorkers
 	cfg.Link.Ideal = ideal
 	cfg.Verify = verify
 	cfg.FabricTelemetry = fabricSummary

@@ -88,61 +88,6 @@ func runDigests(opt Options, workers int) ([]Digest, error) {
 	return digests, nil
 }
 
-// engineMatrix is the scheme set for the engine axis of the self-check:
-// five Scheme rows covering every scheduler path (including the
-// round-robin CHOPIN variant), all at a GPU count distinct from the
-// worker-axis matrix so digest keys stay unique.
-func engineMatrix() []sfr.Scheme {
-	return []sfr.Scheme{
-		sfr.Duplication{},
-		sfr.GPUpd{},
-		sfr.CHOPIN{},
-		sfr.CHOPIN{RoundRobin: true},
-		sfr.SortMiddle{},
-	}
-}
-
-// engineAxisGPUs is the GPU count used for the engine axis. It differs
-// from both worker-axis rows (2 and 8) so a digest key identifies which
-// axis produced it.
-const engineAxisGPUs = 4
-
-// runEngineDigests executes the engine matrix over every benchmark in the
-// options with the given Config.EngineWorkers value and returns one digest
-// per simulation, in matrix order.
-func runEngineDigests(opt Options, engineWorkers int) ([]Digest, error) {
-	opt.EngineWorkers = engineWorkers
-	opt.normalize()
-	schemes := engineMatrix()
-	n := len(schemes) * len(opt.Benchmarks)
-	outs := make([]*stats.FrameStats, n)
-	imgs := make([]uint64, n)
-	var jobs []job
-	i := 0
-	for _, bench := range opt.Benchmarks {
-		for _, s := range schemes {
-			cfg := opt.baseConfig()
-			cfg.NumGPUs = engineAxisGPUs
-			jobs = append(jobs, job{bench: bench, scheme: s, cfg: cfg, out: &outs[i], img: &imgs[i]})
-			i++
-		}
-	}
-	if err := runJobs(&opt, jobs); err != nil {
-		return nil, err
-	}
-	digests := make([]Digest, n)
-	for i, st := range outs {
-		digests[i] = Digest{
-			Scheme: jobs[i].scheme.Name(),
-			Bench:  jobs[i].bench,
-			GPUs:   jobs[i].cfg.NumGPUs,
-			Cycles: int64(st.TotalCycles),
-			Image:  imgs[i],
-		}
-	}
-	return digests, nil
-}
-
 // scaleOutMatrix is the topology × exchange-plan axis of the self-check:
 // CHOPIN cells off the default crossbar/direct-send path, at GPU counts
 // that exercise multi-round plans and routed fabrics.
@@ -232,19 +177,12 @@ func diffDigests(seq, par []Digest, a, b string) []string {
 // other (shared mutable state, map-iteration order leaking into event
 // order, ...).
 //
-// Axis 2 — the draw worker pool: the engine matrix (five scheme rows) runs
-// once with every draw rasterized inline (EngineWorkers=0) and once with
-// SubmitDraws fanning draw batches across EngineWorkers>1 goroutines. A
-// difference means the prepare/commit split leaked goroutine scheduling
-// into simulated state — shared mutable state between GPUs' prepares, or a
-// commit out of request order.
-//
-// Axis 3 — the scale-out configuration space: the topology × exchange-plan
+// Axis 2 — the scale-out configuration space: the topology × exchange-plan
 // matrix (routed fabrics, multi-round plans) runs sequentially and with full
 // parallelism, extending axis 1's guarantee off the default
 // crossbar/direct-send path.
 //
-// It returns the digests of the sequential passes of all axes and an
+// It returns the digests of the sequential passes of both axes and an
 // error describing each mismatch.
 func CheckDeterminism(opt Options) ([]Digest, error) {
 	opt.normalize()
@@ -258,20 +196,6 @@ func CheckDeterminism(opt Options) ([]Digest, error) {
 	}
 	diffs := diffDigests(seq, par, "sequential", "parallel")
 
-	engWorkers := opt.EngineWorkers
-	if engWorkers < 2 {
-		engWorkers = 4
-	}
-	eseq, err := runEngineDigests(opt, 0)
-	if err != nil {
-		return seq, fmt.Errorf("inline-engine pass: %w", err)
-	}
-	epar, err := runEngineDigests(opt, engWorkers)
-	if err != nil {
-		return seq, fmt.Errorf("engine-workers pass: %w", err)
-	}
-	diffs = append(diffs, diffDigests(eseq, epar, "sequential engine", fmt.Sprintf("engine-workers=%d", engWorkers))...)
-
 	sseq, err := runScaleOutDigests(opt, 1)
 	if err != nil {
 		return seq, fmt.Errorf("sequential scale-out pass: %w", err)
@@ -282,8 +206,7 @@ func CheckDeterminism(opt Options) ([]Digest, error) {
 	}
 	diffs = append(diffs, diffDigests(sseq, spar, "sequential", "parallel")...)
 
-	all := append(seq, eseq...)
-	all = append(all, sseq...)
+	all := append(seq, sseq...)
 	if len(diffs) > 0 {
 		return all, fmt.Errorf("experiments: %d determinism violation(s):\n  %s",
 			len(diffs), strings.Join(diffs, "\n  "))

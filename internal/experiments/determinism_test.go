@@ -2,13 +2,12 @@ package experiments
 
 import "testing"
 
-// TestDeterminismAcrossWorkers runs the self-check along both axes —
-// concurrent simulations (Workers) and the draw worker pool
-// (EngineWorkers) — and requires identical cycle counts and image
-// checksums. A failure on the first axis means concurrent simulations
-// influence each other; on the second, that fanning draw batches across
-// goroutines changed simulated state. Either would invalidate every
-// experiment table. Three benchmarks give the engine axis geometry with
+// TestDeterminismAcrossWorkers runs the self-check along both axes — the
+// default scheme matrix and the topology × exchange-plan matrix, each
+// sequentially and with concurrent simulations (Workers) — and requires
+// identical cycle counts and image checksums. A failure means concurrent
+// simulations influence each other, which would invalidate every
+// experiment table. Three benchmarks give the check geometry with
 // different draw counts, resolutions, and depth complexity.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	opt := tinyOptions()

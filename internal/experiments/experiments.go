@@ -47,12 +47,6 @@ type Options struct {
 	Benchmarks []string
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// EngineWorkers sizes the draw worker pool inside each simulation
-	// (multigpu.Config.EngineWorkers): the per-GPU functional rasterization
-	// of each draw batch fans across that many goroutines. Results are
-	// byte-identical at any value; values < 2 (the default) keep
-	// simulations single-threaded.
-	EngineWorkers int
 	// Verify attaches the runtime invariant checker to every simulation the
 	// experiment runs (multigpu.Config.Verify); any violation aborts the
 	// experiment with an error naming the offending run.
@@ -124,7 +118,6 @@ func (o *Options) baseConfig() multigpu.Config {
 	// distribution-to-rendering ratio across scales.
 	cfg.GroupThreshold = o.scaled(cfg.GroupThreshold)
 	cfg.Verify = o.Verify
-	cfg.EngineWorkers = o.EngineWorkers
 	return cfg
 }
 

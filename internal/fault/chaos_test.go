@@ -7,8 +7,6 @@ package fault_test
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -60,17 +58,6 @@ func chaosConfig(plan *fault.Plan) multigpu.Config {
 	cfg.NumGPUs = chaosGPUs
 	cfg.GroupThreshold = 256
 	cfg.Faults = plan
-	// CHOPIN_ENGINE_WORKERS reruns the chaos sweeps (including the topology
-	// x plan matrix) with the draw worker pool sized to that many goroutines:
-	// every golden-image and typed-error contract must hold unchanged. CI
-	// sets it to 4 alongside the sequential run.
-	if s := os.Getenv("CHOPIN_ENGINE_WORKERS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			panic(fmt.Sprintf("CHOPIN_ENGINE_WORKERS=%q: %v", s, err))
-		}
-		cfg.EngineWorkers = n
-	}
 	return cfg
 }
 

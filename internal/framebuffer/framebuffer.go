@@ -20,9 +20,8 @@
 // copies it first. Distinct buffers can therefore be written concurrently
 // even while they share blocks: a writer only reads a shared block. Sharing
 // marks the source buffer too, so CopyTileFrom and Clone must not run
-// concurrently with any use of their source. The simulator shares blocks
-// only on its dispatching goroutine, in event callbacks and after the run,
-// never while sim.Engine.Fanout workers draw.
+// concurrently with any use of their source. A simulation uses its buffers
+// from one goroutine only.
 package framebuffer
 
 import (

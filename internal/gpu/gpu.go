@@ -384,12 +384,11 @@ func (g *GPU) PrepareDraw(d primitive.DrawCommand, view, proj vecmath.Mat4, opts
 // read, so every GPU that receives a broadcast draw shares one setup.
 // Prepares on the same GPU must stay in submission order (rasterization
 // order is semantically meaningful). Prepares on *distinct* GPUs write
-// disjoint state — renderer, render targets, the prepared result — and
-// share only read-only state (the setup, the textures), so a caller may run
-// them on different goroutines (sim.Engine.Fanout) and then commit in the
-// original order. That split is how fan-out schemes (Duplication, CHOPIN's
-// duplicate groups) parallelize the per-GPU raster passes without
-// perturbing event order.
+// disjoint state — renderer, render targets, the prepared result — so a
+// caller may prepare a draw on several GPUs, chunk by chunk, and then
+// commit in the original order. That split is how
+// multigpu.System.BroadcastDraw sets a draw up once for every GPU it goes
+// to without perturbing event order.
 func (g *GPU) PrepareSetup(s *raster.Setup, opts DrawOpts) *PreparedDraw {
 	d := s.Draw()
 	// Targets are all built to the GPU's own dimensions, so the switch

@@ -327,9 +327,8 @@ func TestFragCyclesTexSamples(t *testing.T) {
 
 // TestPrepareCommitEquivalence: PrepareDraw+CommitDraw must be
 // observationally identical to SubmitDraw — same pixels, same stats, same
-// completion times — including when the prepares of *distinct* GPUs run
-// out of order relative to their commits (the fan-out pattern
-// multigpu.System.SubmitDraws uses).
+// completion times — including when every *distinct* GPU prepares before
+// any of them commits (the pattern multigpu.System.BroadcastDraw uses).
 func TestPrepareCommitEquivalence(t *testing.T) {
 	const w, h = 64, 64
 	view, proj := cams(w, h)
@@ -355,8 +354,8 @@ func TestPrepareCommitEquivalence(t *testing.T) {
 		}
 		for _, d := range draws {
 			if split {
-				// Prepare both GPUs' functional work first (as a worker
-				// fan-out would), then commit in submission order.
+				// Prepare both GPUs' functional work first (as a
+				// broadcast does), then commit in submission order.
 				pa := a.PrepareDraw(d, view, proj, opts())
 				pb := b.PrepareDraw(d, view, proj, opts())
 				a.CommitDraw(pa)

@@ -98,13 +98,9 @@ type Config struct {
 	// internal/experiments and chopinsim -timeout).
 	Cancel func() bool
 
-	// EngineWorkers sizes the draw-level worker pool (DESIGN.md §9): up to
-	// EngineWorkers goroutines run the per-GPU raster passes of each draw
-	// batch (System.SubmitDraws via sim.Engine.Fanout), while all
-	// event scheduling stays on the dispatching goroutine. Results are
-	// byte-identical at any worker count. Values < 2 (the default) run
-	// everything inline. Like Tracer and Cancel, this is an execution
-	// attachment, not architecture: it is excluded from Fingerprint.
+	// EngineWorkers is ignored: every simulation runs on one goroutine.
+	//
+	// Deprecated: ignored.
 	EngineWorkers int
 
 	// CompAlg selects the exchange plan opaque composition groups execute
@@ -183,9 +179,10 @@ type fpConfig struct {
 // (GPU count, cost model, rasterizer knobs, link parameters, topology,
 // composition algorithm, scheme thresholds). Attachments that observe or
 // perturb a run from outside the modelled architecture — Tracer, Cancel,
-// Faults, Verify, RecordPerDraw, EngineWorkers — are excluded, so a traced,
-// verified, or worker-pool re-run of the same architecture fingerprints
-// identically. Run records (package runrec) key rows on it.
+// Faults, Verify, RecordPerDraw — are excluded, so a traced or verified
+// re-run of the same architecture fingerprints identically. The frozen
+// fpConfig keeps its EngineWorkers member, always zero, because its %+v
+// shape is what is hashed. Run records (package runrec) key rows on it.
 func (c Config) Fingerprint() string {
 	fp := fpConfig{
 		NumGPUs: c.NumGPUs,
@@ -245,22 +242,9 @@ type System struct {
 	// failed, in registration order.
 	failHandlers []func(g int)
 
-	// SubmitDraws scratch, reused across batches so the steady state
-	// allocates only the prepared draws themselves. subSetups holds the
-	// round's distinct draws set up, in pooled setups returned when the
-	// round ends; subOf maps each request of the round to its setup;
-	// subFirst holds each distinct draw's first request. subSeen marks the
-	// GPUs already in the round being formed. subReqs and subRound are the
-	// round in flight, which prepareReq reads; prepareFn is prepareReq's
-	// method value, bound once in New so a Fanout allocates no closure.
-	subSetups []*raster.Setup
-	subOf     []int
-	subFirst  []int
-	subSeen   []bool
-	subPrep   []*gpu.PreparedDraw
-	subReqs   []DrawReq
-	subRound  []*gpu.PreparedDraw
-	prepareFn func(i int)
+	// prep is BroadcastDraw's scratch, reused across draws so the steady
+	// state allocates only the prepared draws themselves.
+	prep []*gpu.PreparedDraw
 }
 
 // New builds a system for a width×height screen.
@@ -290,9 +274,6 @@ func New(cfg Config, width, height int) (*System, error) {
 		cfg.Link.Retry = interconnect.RetryConfig{}
 	}
 	eng := sim.New()
-	if cfg.EngineWorkers > 1 {
-		eng.SetWorkers(cfg.EngineWorkers)
-	}
 	fabric, err := interconnect.New(eng, cfg.NumGPUs, cfg.Link)
 	if err != nil {
 		return nil, err
@@ -359,8 +340,6 @@ func New(cfg Config, width, height int) (*System, error) {
 	}
 	s.numAlive = cfg.NumGPUs
 	s.rebuildMasks()
-	s.subSeen = make([]bool, cfg.NumGPUs)
-	s.prepareFn = s.prepareReq
 	if haveFaults {
 		inj, err := fault.NewInjector(eng, cfg.Faults)
 		if err != nil {
@@ -396,130 +375,41 @@ func New(cfg Config, width, height int) (*System, error) {
 	return s, nil
 }
 
-// DrawReq is one draw submission in a SubmitDraws batch.
+// DrawReq is one GPU's share of a BroadcastDraw.
 type DrawReq struct {
 	// GPU is the target GPU index.
 	GPU int
-	// Draw is the command to submit.
-	Draw primitive.DrawCommand
 	// Opts are the per-submission options.
 	Opts gpu.DrawOpts
 }
 
-// SubmitDraws submits a batch of draws. Each distinct draw is set up once,
-// and every GPU it goes to rasterizes that one read-only setup. The batch
-// is prepared in rounds, each the longest run of requests naming distinct
-// GPUs, so a GPU's own draws stay in order. Within a round the draws are
-// set up a bounded chunk at a time, and the per-GPU raster passes of each
-// chunk fan across the engine's workers. Then every draw is
-// committed — timing, stats, tracer spans, completion events —
-// sequentially in the order requested. The result is therefore
-// byte-identical to a plain gpu.SubmitDraw loop at any worker count; with
-// fewer than two workers everything runs inline, in request order.
+// BroadcastDraw submits d to each GPU reqs names, which must be distinct.
+// The draw is set up once, a bounded chunk at a time, and every GPU
+// rasterizes that one read-only setup chunk by chunk, in request order.
+// Then each submission is committed — timing, stats, tracer spans,
+// completion events — in request order, so the result is byte-identical to
+// calling gpu.SubmitDraw for each request in turn.
 //
-// This is the path the duplication-style schemes use for their all-GPU
-// draw broadcasts — the dominant wall-clock cost of a sweep.
-func (s *System) SubmitDraws(view, proj vecmath.Mat4, reqs []DrawReq) {
-	if cap(s.subPrep) < len(reqs) {
-		s.subPrep = make([]*gpu.PreparedDraw, len(reqs))
+// This is the path the duplication-style schemes use for their draw
+// broadcasts — the dominant wall-clock cost of a sweep.
+func (s *System) BroadcastDraw(d *primitive.DrawCommand, view, proj vecmath.Mat4, reqs []DrawReq) {
+	st := raster.GetSetup()
+	st.Build(d, view, proj, s.width, s.height)
+	prep := s.prep[:0]
+	for _, r := range reqs {
+		prep = append(prep, s.GPUs[r.GPU].PrepareSetup(st, r.Opts))
 	}
-	prep := s.subPrep[:len(reqs)]
-	seen := s.subSeen
-	for lo := 0; lo < len(reqs); {
-		hi := lo
-		for ; hi < len(reqs) && !seen[reqs[hi].GPU]; hi++ {
-			seen[reqs[hi].GPU] = true
-		}
-		for _, r := range reqs[lo:hi] {
-			seen[r.GPU] = false
-		}
-		s.prepareRound(view, proj, reqs[lo:hi], prep[lo:hi])
-		lo = hi
-	}
-	for i := range reqs {
-		s.GPUs[reqs[i].GPU].CommitDraw(prep[i])
-		prep[i] = nil
-	}
-}
-
-// prepareRound prepares reqs, which name distinct GPUs, into prep: it sets
-// up each distinct draw and fans every chunk's raster passes across the
-// engine's workers, a chunk at a time, until every setup is exhausted.
-func (s *System) prepareRound(view, proj vecmath.Mat4, reqs []DrawReq, prep []*gpu.PreparedDraw) {
-	s.setupDistinct(view, proj, reqs)
-	s.subReqs, s.subRound = reqs, prep
-	s.Eng.Fanout(len(reqs), s.prepareFn)
-	for s.nextChunks() {
-		s.Eng.Fanout(len(reqs), s.prepareFn)
-	}
-	s.subReqs, s.subRound = nil, nil
-	for _, st := range s.subSetups {
-		raster.PutSetup(st)
-	}
-	clear(s.subSetups)
-	s.subSetups = s.subSetups[:0]
-}
-
-// prepareReq prepares the current chunk of the round's request i: it
-// starts the request's submission on the first chunk and continues it on
-// later ones.
-func (s *System) prepareReq(i int) {
-	r := &s.subReqs[i]
-	st := s.subSetups[s.subOf[i]]
-	if s.subRound[i] == nil {
-		s.subRound[i] = s.GPUs[r.GPU].PrepareSetup(st, r.Opts)
-	} else {
-		s.GPUs[r.GPU].RasterChunk(s.subRound[i], st)
-	}
-}
-
-// nextChunks advances every setup of the round to its next chunk and
-// reports whether any had one. An exhausted setup's chunk is empty, so its
-// GPUs rasterize nothing more.
-func (s *System) nextChunks() bool {
-	more := false
-	for _, st := range s.subSetups {
-		if st.Next() {
-			more = true
+	for st.Next() {
+		for i, r := range reqs {
+			s.GPUs[r.GPU].RasterChunk(prep[i], st)
 		}
 	}
-	return more
-}
-
-// setupDistinct takes a pooled setup per distinct draw of reqs and builds
-// its first chunk: afterwards s.subSetups[s.subOf[i]] is the setup of
-// reqs[i].Draw.
-func (s *System) setupDistinct(view, proj vecmath.Mat4, reqs []DrawReq) {
-	of, first := s.subOf[:0], s.subFirst[:0]
-	for i := range reqs {
-		k := len(first)
-		for j, f := range first {
-			if sameDraw(&reqs[f].Draw, &reqs[i].Draw) {
-				k = j
-				break
-			}
-		}
-		if k == len(first) {
-			first = append(first, i)
-		}
-		of = append(of, k)
+	raster.PutSetup(st)
+	for i, r := range reqs {
+		s.GPUs[r.GPU].CommitDraw(prep[i])
 	}
-	s.subOf, s.subFirst = of, first
-	for _, f := range first {
-		st := raster.GetSetup()
-		st.Build(&reqs[f].Draw, view, proj, s.width, s.height)
-		s.subSetups = append(s.subSetups, st)
-	}
-}
-
-// sameDraw reports whether a and b are the same draw: every field equal
-// and the same triangle list (by identity, not by value).
-func sameDraw(a, b *primitive.DrawCommand) bool {
-	if len(a.Tris) != len(b.Tris) || (len(a.Tris) > 0 && &a.Tris[0] != &b.Tris[0]) {
-		return false
-	}
-	return a.ID == b.ID && a.Model == b.Model && a.State == b.State &&
-		a.VertexCost == b.VertexCost && a.PixelCost == b.PixelCost && a.TextureID == b.TextureID
+	clear(prep)
+	s.prep = prep[:0]
 }
 
 // rebuildMasks recomputes every GPU's tile-ownership mask from the owner

@@ -10,7 +10,6 @@ import (
 	"chopin/internal/raster"
 	"chopin/internal/sim"
 	"chopin/internal/trace"
-	"chopin/internal/vecmath"
 )
 
 // newSys builds a system, failing the test on config errors.
@@ -141,103 +140,27 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestSubmitDrawsEquivalence: a SubmitDraws batch with EngineWorkers > 1
-// must be byte-identical to the sequential SubmitDraw loop — same
-// framebuffers, same completion cycles — and the worker count must
-// not leak into the architectural fingerprint.
-func TestSubmitDrawsEquivalence(t *testing.T) {
-	const w, h = 128, 128
-	draw := func(id int, z, x0, y0, x1, y1 float64) primitive.DrawCommand {
-		c := colorspace.Opaque(float64(id%3)/2, 1, 0.5)
-		v := func(x, y float64) primitive.Vertex {
-			return primitive.Vertex{Position: vecmath.Vec3{X: x, Y: y, Z: -z}, Color: c}
-		}
-		return primitive.DrawCommand{
-			ID: id,
-			Tris: []primitive.Triangle{
-				{V: [3]primitive.Vertex{v(x0, y0), v(x1, y0), v(x1, y1)}},
-				{V: [3]primitive.Vertex{v(x0, y0), v(x1, y1), v(x0, y1)}},
-			},
-			Model: vecmath.Identity(),
-			State: primitive.DefaultState(),
-		}
-	}
-	view := vecmath.Identity()
-	proj := vecmath.Orthographic(0, w, h, 0, 1, 10)
-
-	run := func(workers int) ([]uint64, []sim.Cycle, string) {
-		cfg := DefaultConfig()
-		cfg.NumGPUs = 4
-		cfg.EngineWorkers = workers
-		sys := newSys(t, cfg, w, h)
-		var dones []sim.Cycle
-		for i := 0; i < 6; i++ {
-			reqs := make([]DrawReq, cfg.NumGPUs)
-			for g := 0; g < cfg.NumGPUs; g++ {
-				reqs[g] = DrawReq{GPU: g, Draw: draw(i, float64(1+i%4), float64(8*i), float64(4*i), float64(40+8*i), float64(60+4*i)),
-					Opts: gpu.DrawOpts{OnDone: func(*raster.DrawResult) { dones = append(dones, sys.Eng.Now()) }}}
-			}
-			sys.SubmitDraws(view, proj, reqs)
-		}
-		sys.Eng.Run()
-		sums := make([]uint64, cfg.NumGPUs)
-		for g := range sys.GPUs {
-			sums[g] = sys.GPUs[g].Target(0).Checksum()
-		}
-		return sums, dones, cfg.Fingerprint()
-	}
-
-	seqSums, seqDones, seqFP := run(0)
-	parSums, parDones, parFP := run(4)
-	if seqFP != parFP {
-		t.Errorf("EngineWorkers leaked into Fingerprint: %s vs %s", seqFP, parFP)
-	}
-	if len(seqDones) != len(parDones) {
-		t.Fatalf("completions: %d sequential vs %d parallel", len(seqDones), len(parDones))
-	}
-	for i := range seqDones {
-		if seqDones[i] != parDones[i] {
-			t.Fatalf("completion %d at cycle %d sequential vs %d parallel", i, seqDones[i], parDones[i])
-		}
-	}
-	for g := range seqSums {
-		if seqSums[g] != parSums[g] {
-			t.Fatalf("gpu %d framebuffer checksum %x sequential vs %x parallel", g, seqSums[g], parSums[g])
-		}
-	}
-}
-
-// TestEngineWorkersWiring pins that New sizes the engine's worker pool from
-// EngineWorkers, with real and with ideal links.
-func TestEngineWorkersWiring(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumGPUs = 4
-	cfg.EngineWorkers = 3
-	for _, ideal := range []bool{false, true} {
-		cfg.Link.Ideal = ideal
-		if got := newSys(t, cfg, 64, 64).Eng.Workers(); got != 3 {
-			t.Errorf("ideal=%v: workers = %d, want 3", ideal, got)
-		}
-	}
-}
-
-// TestSharedSetupMatchesPerGPUSetup: broadcasting draws with SubmitDraws,
-// which sets each draw up once and shares that setup across all GPUs, must
-// equal submitting each draw to each GPU separately with gpu.SubmitDraw,
-// which sets it up per GPU — every DrawResult counter and per-tile fragment
-// count, every completion cycle and every render target, for every cod2 and
-// wolf draw under each GPU's ownership mask, inline and on the draw worker
-// pool. Each SubmitDraws batch carries two consecutive draws to all 8 GPUs,
-// so it runs in two rounds, and the larger draws span several setup chunks.
+// TestSharedSetupMatchesPerGPUSetup: broadcasting draws with BroadcastDraw,
+// which sets each draw up once and shares that setup across its GPUs, must
+// equal submitting the draw to each of those GPUs separately with
+// gpu.SubmitDraw, which sets it up per GPU — every DrawResult, every
+// completion (GPU and cycle, in firing order) and every render target, for
+// every cod2 and wolf draw under each GPU's ownership mask. The larger draws
+// span several setup chunks. Each draw goes to all 8 GPUs, and again to a
+// subset that leaves two GPUs out, as CHOPIN's duplicate groups broadcast to
+// the live GPUs only after a fail-stop.
 func TestSharedSetupMatchesPerGPUSetup(t *testing.T) {
+	type completion struct {
+		gpu int
+		at  sim.Cycle
+	}
 	type outcome struct {
 		results []raster.DrawResult // per draw, per GPU
-		dones   []sim.Cycle
+		dones   []completion
 		sums    []uint64 // per GPU, per render target
 	}
-	run := func(fr *primitive.Frame, workers int, shared bool) outcome {
+	run := func(fr *primitive.Frame, gpus []int, shared bool) outcome {
 		cfg := DefaultConfig()
-		cfg.EngineWorkers = workers
 		sys := newSys(t, cfg, fr.Width, fr.Height)
 		for g, gp := range sys.GPUs {
 			if err := gp.SetOwnership(sys.Mask(g)); err != nil {
@@ -247,28 +170,25 @@ func TestSharedSetupMatchesPerGPUSetup(t *testing.T) {
 		}
 		var out outcome
 		out.results = make([]raster.DrawResult, len(fr.Draws)*cfg.NumGPUs)
-		var reqs []DrawReq
+		reqs := make([]DrawReq, len(gpus))
 		rts := map[int]bool{}
-		for i, d := range fr.Draws {
+		for i := range fr.Draws {
+			d := &fr.Draws[i]
 			rts[d.State.RenderTarget] = true
-			for g := 0; g < cfg.NumGPUs; g++ {
+			for k, g := range gpus {
 				slot := &out.results[i*cfg.NumGPUs+g]
-				reqs = append(reqs, DrawReq{GPU: g, Draw: d, Opts: gpu.DrawOpts{OnDone: func(res *raster.DrawResult) {
+				reqs[k] = DrawReq{GPU: g, Opts: gpu.DrawOpts{OnDone: func(res *raster.DrawResult) {
 					*slot = *res
-					out.dones = append(out.dones, sys.Eng.Now())
-				}}})
-			}
-			if i%2 == 0 && i+1 < len(fr.Draws) {
-				continue // batch this draw with the next one
+					out.dones = append(out.dones, completion{g, sys.Eng.Now()})
+				}}}
 			}
 			if shared {
-				sys.SubmitDraws(fr.View, fr.Proj, reqs)
+				sys.BroadcastDraw(d, fr.View, fr.Proj, reqs)
 			} else {
 				for _, r := range reqs {
-					sys.GPUs[r.GPU].SubmitDraw(r.Draw, fr.View, fr.Proj, r.Opts)
+					sys.GPUs[r.GPU].SubmitDraw(*d, fr.View, fr.Proj, r.Opts)
 				}
 			}
-			reqs = reqs[:0]
 		}
 		sys.Eng.Run()
 		for _, gp := range sys.GPUs {
@@ -286,36 +206,28 @@ func TestSharedSetupMatchesPerGPUSetup(t *testing.T) {
 			t.Fatal(err)
 		}
 		fr := trace.Generate(b, 0.05)
-		want := run(fr, 1, false)
-		frags := 0
-		for k := range want.results {
-			frags += want.results[k].FragsGenerated
-		}
-		if frags == 0 || len(want.dones) != len(want.results) {
-			t.Fatalf("%s: %d fragments over %d completions; the replay rendered nothing", bench, frags, len(want.dones))
-		}
-		for _, workers := range []int{1, 4} {
-			got := run(fr, workers, true)
+		for _, gpus := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 2, 3, 4, 5, 7}} {
+			want := run(fr, gpus, false)
+			frags := 0
 			for k := range want.results {
-				if !reflect.DeepEqual(got.results[k], want.results[k]) {
-					t.Fatalf("%s workers=%d: draw %d gpu %d result %+v, per-GPU setup gives %+v",
-						bench, workers, k/8, k%8, got.results[k], want.results[k])
+				frags += want.results[k].FragsGenerated
+			}
+			if frags == 0 || len(want.dones) != len(fr.Draws)*len(gpus) {
+				t.Fatalf("%s gpus=%v: %d fragments over %d completions; the replay rendered nothing",
+					bench, gpus, frags, len(want.dones))
+			}
+			got := run(fr, gpus, true)
+			for k := range want.results {
+				if got.results[k] != want.results[k] {
+					t.Fatalf("%s gpus=%v: draw %d gpu %d result %+v, per-GPU setup gives %+v",
+						bench, gpus, k/8, k%8, got.results[k], want.results[k])
 				}
 			}
-			if len(got.dones) != len(want.dones) {
-				t.Fatalf("%s workers=%d: %d completions, per-GPU setup gives %d", bench, workers, len(got.dones), len(want.dones))
+			if !reflect.DeepEqual(got.dones, want.dones) {
+				t.Fatalf("%s gpus=%v: completions differ from per-GPU setup", bench, gpus)
 			}
-			for i := range want.dones {
-				if got.dones[i] != want.dones[i] {
-					t.Fatalf("%s workers=%d: completion %d at cycle %d, per-GPU setup gives %d",
-						bench, workers, i, got.dones[i], want.dones[i])
-				}
-			}
-			for i := range want.sums {
-				if got.sums[i] != want.sums[i] {
-					t.Fatalf("%s workers=%d: target checksum %d is %x, per-GPU setup gives %x",
-						bench, workers, i, got.sums[i], want.sums[i])
-				}
+			if !reflect.DeepEqual(got.sums, want.sums) {
+				t.Fatalf("%s gpus=%v: target checksums %x, per-GPU setup gives %x", bench, gpus, got.sums, want.sums)
 			}
 		}
 	}

@@ -375,25 +375,23 @@ func (r *chopinRun) duplicateGroup(grp primitive.Group, rt int) {
 	})
 	// Registered per submission (not len×N upfront) so a GPU failing between
 	// issues shrinks the expected count instead of wedging the barrier.
-	// The alive-GPU broadcast goes through SubmitDraws so the redundant
-	// functional rasterization fans across the engine's workers under
-	// EngineWorkers with submission order unchanged.
+	// The alive-GPU broadcast goes through BroadcastDraw so each draw is set
+	// up once on the host for all of them, in submission order.
 	last := grp.End - 1
 	reqs := make([]multigpu.DrawReq, 0, r.n)
 	r.ex.IssueDraws(grp.Start, grp.End, func(i int) {
-		d := r.fr.Draws[i]
 		reqs = reqs[:0]
 		for g := 0; g < r.n; g++ {
 			if !r.sys.Alive(g) {
 				continue
 			}
 			bar.Add(1)
-			reqs = append(reqs, multigpu.DrawReq{GPU: g, Draw: d, Opts: gpu.DrawOpts{
+			reqs = append(reqs, multigpu.DrawReq{GPU: g, Opts: gpu.DrawOpts{
 				RecordTiming: r.sys.Cfg.RecordPerDraw && g == 0,
 				OnDone:       func(*raster.DrawResult) { bar.Done() },
 			}})
 		}
-		r.sys.SubmitDraws(r.fr.View, r.fr.Proj, reqs)
+		r.sys.BroadcastDraw(&r.fr.Draws[i], r.fr.View, r.fr.Proj, reqs)
 		if i == last {
 			bar.Seal()
 		}

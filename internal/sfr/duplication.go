@@ -26,10 +26,9 @@ func (Duplication) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameS
 	r.OwnTiles()
 	n := sys.Cfg.NumGPUs
 
-	// The all-GPU broadcast goes through SubmitDraws so the functional
-	// rasterization — N copies of every draw, the dominant cost of this
-	// scheme — fans across the engine's workers under EngineWorkers; the
-	// submission order and therefore every observable is unchanged.
+	// The all-GPU broadcast goes through BroadcastDraw so each draw is set
+	// up once on the host for all N GPUs, the dominant cost of this scheme;
+	// every observable equals a per-GPU SubmitDraw loop.
 	reqs := make([]multigpu.DrawReq, n)
 	r.RunSegments(func(seg exec.Segment, done func()) {
 		phase := r.StartPhase(stats.PhaseNormal)
@@ -40,14 +39,13 @@ func (Duplication) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameS
 		bar.Add((seg.End - seg.Start) * n)
 		bar.Seal()
 		r.IssueDraws(seg.Start, seg.End, func(i int) {
-			d := fr.Draws[i]
 			for g := 0; g < n; g++ {
-				reqs[g] = multigpu.DrawReq{GPU: g, Draw: d, Opts: gpu.DrawOpts{
+				reqs[g] = multigpu.DrawReq{GPU: g, Opts: gpu.DrawOpts{
 					RecordTiming: sys.Cfg.RecordPerDraw && g == 0,
 					OnDone:       func(*raster.DrawResult) { bar.Done() },
 				}}
 			}
-			sys.SubmitDraws(fr.View, fr.Proj, reqs)
+			sys.BroadcastDraw(&fr.Draws[i], fr.View, fr.Proj, reqs)
 		})
 	})
 	return finishRun(r, sys, fr)

@@ -14,16 +14,10 @@
 // schedule a reusable [Callback] through [Engine.AtCall] / [Engine.AfterCall]
 // instead.
 //
-// The engine itself is single-threaded. Its one parallel mechanism is
-// [Engine.Fanout], a bounded worker pool for mutually independent host-side
-// work (functional rasterization of already-ordered draw batches) that never
-// touches the event queue.
+// The engine is single-threaded: every event fires on the goroutine that
+// steps it. Concurrency comes from running independent simulations side by
+// side, never from inside one.
 package sim
-
-import (
-	"sync"
-	"sync/atomic"
-)
 
 // Cycle is a simulation timestamp in GPU clock cycles. It is an alias of
 // int64 (not a defined type) so that interfaces mentioning it — notably the
@@ -73,8 +67,7 @@ type Probe interface {
 const cancelStride = 64
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
-// Events are dispatched on the caller's goroutine; SetWorkers only sizes the
-// Fanout pool.
+// Events are dispatched on the caller's goroutine.
 type Engine struct {
 	now   Cycle
 	seq   int64
@@ -86,9 +79,6 @@ type Engine struct {
 	canceled    bool
 	cancel      func() bool
 	cancelCount int
-
-	// workers bounds Fanout's goroutine count; 0 and 1 both mean inline.
-	workers int
 }
 
 // New returns a fresh engine at cycle 0.
@@ -305,83 +295,14 @@ func (e *Engine) RunUntil(t Cycle) {
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.q) }
 
-// SetWorkers bounds Fanout's worker-goroutine count. n < 1 is treated as 1
-// (inline).
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// Workers returns the configured worker bound (1 when unconfigured).
-func (e *Engine) Workers() int {
-	if e.workers < 1 {
-		return 1
-	}
-	return e.workers
-}
-
-// ParallelWindows and SequentialWindows always return 0. They are the
-// remnants of a removed lookahead-window dispatcher, kept only because the
-// host-performance benchmark (bench/traced.go) still reports them as
-// per-layer metrics; drop them together with those metrics.
+// ParallelWindows always returns 0. It is a remnant of a removed
+// lookahead-window dispatcher, kept only because the host-performance
+// benchmark (bench/traced.go) still reports it as a per-layer metric.
+//
+// Deprecated: ignored; always 0. Drop it together with that metric.
 func (e *Engine) ParallelWindows() int64 { return 0 }
 
 // SequentialWindows always returns 0; see ParallelWindows.
-func (e *Engine) SequentialWindows() int64 { return 0 }
-
-// Fanout runs fn(0..n-1) across the engine's workers and returns when all
-// calls have completed. The calls must be mutually independent — Fanout
-// makes no ordering promise between them — and must not touch the engine.
-// With fewer than two workers (or n < 2) the calls run inline, in order,
-// on the caller's goroutine; simulation results must not depend on which
-// path was taken.
 //
-// The timing model uses this to fan the per-GPU raster passes of
-// already-ordered, already-set-up draw batches across cores
-// (multigpu.System.SubmitDraws) while all event scheduling stays on the
-// dispatching goroutine.
-func (e *Engine) Fanout(n int, fn func(i int)) {
-	w := e.Workers()
-	if w > n {
-		w = n
-	}
-	if w < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicv any
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicv == nil {
-						panicv = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
-	if panicv != nil {
-		// Re-raise on the caller's goroutine so its recover handlers run.
-		panic(panicv)
-	}
-}
+// Deprecated: ignored; always 0. Drop it together with ParallelWindows.
+func (e *Engine) SequentialWindows() int64 { return 0 }

@@ -282,34 +282,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestFanout covers the inline and worker paths of Engine.Fanout, including
-// panic propagation back to the caller's goroutine.
-func TestFanout(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		e := New()
-		e.SetWorkers(workers)
-		const n = 64
-		out := make([]int, n)
-		e.Fanout(n, func(i int) { out[i] = i * i })
-		for i := range out {
-			if out[i] != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, out[i], i*i)
-			}
-		}
-	}
-	e := New()
-	e.SetWorkers(4)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Fanout did not propagate worker panic")
-			}
-		}()
-		e.Fanout(8, func(i int) {
-			if i == 5 {
-				panic("boom")
-			}
-		})
-	}()
-}
