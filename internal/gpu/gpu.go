@@ -407,7 +407,7 @@ func (g *GPU) RasterChunk(p *PreparedDraw, s *raster.Setup) { g.rend.Raster(s, &
 
 // CommitDraw charges a prepared draw to the timing pipeline and schedules
 // its completion callbacks: the ordered half of a submission. Commits must
-// happen on the dispatching goroutine, in global submission order.
+// happen in global submission order.
 func (g *GPU) CommitDraw(p *PreparedDraw) *raster.DrawResult {
 	opts := p.opts
 	res := &p.ev.res

@@ -19,7 +19,7 @@ import (
 // ordered GPU pair's point-to-point connection is its own link, id
 // src·n + dst. All counters are deterministic: they accumulate quantities
 // the timing model already computes, so a telemetry-enabled run is
-// byte-identical to a disabled one and identical at any engine worker count.
+// byte-identical to a disabled one and identical on every repeated run.
 type LinkTelemetry struct {
 	f    *Fabric
 	topo Topology // nil on the crossbar

@@ -55,8 +55,7 @@ type Wave struct {
 
 // FabricSummary is the fabric digest chopintrace -fabric prints, derived
 // entirely from an exported timeline. Deterministic: identical traces yield
-// identical summaries, and traces are byte-identical across engine worker
-// counts.
+// identical summaries, and a repeated run exports a byte-identical trace.
 type FabricSummary struct {
 	// Transfers, Bytes, Retries total every egress transmission span.
 	Transfers int64 `json:"transfers"`

@@ -278,8 +278,8 @@ const setupChunk = 64
 // Setup is the GPU-independent half of one draw's rasterization: the draw
 // command and the current chunk of its set-up triangles, in raster order.
 // Build sets up the first chunk and Next each further one. Between those
-// calls any number of Renderers, on any goroutines, may Raster the chunk,
-// since rasterizing only reads it. A Setup is scratch: take one with
+// calls any number of Renderers may Raster the chunk, since rasterizing
+// only reads it. A Setup is scratch: take one with
 // GetSetup, Build it for as many draws as needed, and hand it back with
 // PutSetup.
 type Setup struct {
