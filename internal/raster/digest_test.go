@@ -63,7 +63,7 @@ func ownerMask(fr *primitive.Frame, gpu, gpus int) []bool {
 // Renderer, restricted to own (nil owns every tile), and returns a line
 // naming the run (bench and mode), its draw and fragment totals, a hash of
 // every draw's DrawResult counters, and a hash of every
-// render target's final colour, depth and stencil in row-major order.
+// render target's final colour and depth in row-major order.
 func drawDigest(t *testing.T, bench, mode string, fr *primitive.Frame, own []bool) string {
 	t.Helper()
 	targets := map[int]*framebuffer.Buffer{}
@@ -113,7 +113,6 @@ func drawDigest(t *testing.T, bench, mode string, fr *primitive.Frame, own []boo
 				pixels.f64(c.B)
 				pixels.f64(c.A)
 				pixels.f64(fb.DepthAt(x, y))
-				pixels.u64(uint64(fb.StencilAt(x, y)))
 			}
 		}
 	}
