@@ -42,7 +42,7 @@ import (
 // stream plus camera and screen configuration.
 type Frame = primitive.Frame
 
-// Image is a rendered framebuffer (colour + depth + stencil planes with
+// Image is a rendered framebuffer (colour + depth planes with
 // 64×64-pixel tile granularity).
 type Image = framebuffer.Buffer
 

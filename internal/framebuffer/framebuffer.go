@@ -1,6 +1,5 @@
 // Package framebuffer implements the render-target memory the pipeline draws
-// into: a colour + depth + stencil buffer organized as a grid of 64×64-pixel
-// tiles.
+// into: a colour + depth buffer organized as a grid of 64×64-pixel tiles.
 //
 // Tiles are the unit of screen-space distribution in split-frame rendering
 // (the simulated systems interleave tiles across GPUs, Section V of the
@@ -8,9 +7,9 @@
 // a draw command ("dirty" tiles) are exchanged between GPUs during image
 // composition (Section VI-C).
 //
-// Tiles are also the unit of storage. Each of a buffer's colour, depth and
-// stencil planes holds one slot per tile, and a slot points to a fixed-size
-// 64×64 block allocated on the first write to that tile. An empty slot reads
+// Tiles are also the unit of storage. Each of a buffer's colour and depth
+// planes holds one slot per tile, and a slot points to a fixed-size 64×64
+// block allocated on the first write to that tile. An empty slot reads
 // as the plane's clear value, so New, Clear, Reset and FillColor allocate no
 // pixel storage, and a buffer costs memory only for the tiles drawn into.
 //
@@ -60,16 +59,16 @@ const (
 // the standard less-than depth test.
 const ClearDepth = 1.0
 
-// Buffer is a 2D render target with tile-sparse, copy-on-write colour,
-// depth and stencil planes and per-tile dirty tracking.
+// Buffer is a 2D render target with tile-sparse, copy-on-write colour and
+// depth planes and per-tile dirty tracking. The rasterizer has no stencil
+// test, so there is no stencil plane.
 type Buffer struct {
 	width, height  int
 	tilesX, tilesY int
 
-	color   plane[colorspace.RGBA]
-	depth   plane[float64]
-	stencil plane[uint8]
-	dirty   []bool
+	color plane[colorspace.RGBA]
+	depth plane[float64]
+	dirty []bool
 }
 
 // tilePixels is the pixel count of one block: one tile of one plane,
@@ -180,8 +179,7 @@ func (p *plane[T]) clone() plane[T] {
 }
 
 // New returns a cleared buffer of the given pixel dimensions: transparent
-// colour, far depth, zero stencil, nothing dirty. It allocates no pixel
-// storage. Width and height must be positive.
+// colour, far depth, nothing dirty. It allocates no pixel storage. Width and height must be positive.
 func New(width, height int) (*Buffer, error) {
 	if width <= 0 || height <= 0 {
 		return nil, fmt.Errorf("framebuffer: invalid dimensions %d×%d", width, height)
@@ -195,7 +193,6 @@ func New(width, height int) (*Buffer, error) {
 	n := b.tilesX * b.tilesY
 	b.color = newPlane(n, colorspace.Transparent)
 	b.depth = newPlane(n, ClearDepth)
-	b.stencil = newPlane(n, uint8(0))
 	b.dirty = make([]bool, n)
 	return b, nil
 }
@@ -227,20 +224,19 @@ func (b *Buffer) TilesY() int { return b.tilesY }
 // TileCount returns the total number of tiles.
 func (b *Buffer) TileCount() int { return b.tilesX * b.tilesY }
 
-// Clear sets every pixel to the given colour and depth, zeroes the stencil
-// plane, and marks every tile dirty (a full-screen clear touches everything).
+// Clear sets every pixel to the given colour and depth and marks every tile
+// dirty (a full-screen clear touches everything).
 // It drops every block instead of writing pixels.
 func (b *Buffer) Clear(c colorspace.RGBA, depth float64) {
 	b.color.reset(c)
 	b.depth.reset(depth)
-	b.stencil.reset(0)
 	for i := range b.dirty {
 		b.dirty[i] = true
 	}
 }
 
-// FillColor sets every pixel's colour without touching depth, stencil or
-// dirty flags. Transparent sub-image render targets are initialized this
+// FillColor sets every pixel's colour without touching depth or dirty
+// flags. Transparent sub-image render targets are initialized this
 // way: they inherit the opaque depth buffer (for occlusion tests) but start
 // from a fully transparent colour plane. It drops every colour block, so a
 // layer cloned from a target goes on sharing the target's depth blocks.
@@ -256,7 +252,7 @@ func (b *Buffer) ClearDirty() {
 }
 
 // Reset returns the buffer to its freshly constructed state: transparent
-// colour, far depth, zero stencil, nothing dirty. Degraded-mode recovery uses
+// colour, far depth, nothing dirty. Degraded-mode recovery uses
 // this to drop a failed GPU's targets so stale content cannot be read back.
 func (b *Buffer) Reset() {
 	b.Clear(colorspace.Transparent, ClearDepth)
@@ -300,18 +296,6 @@ func (b *Buffer) SetDepth(x, y int, d float64) {
 	b.depth.writable(t)[i] = d
 }
 
-// StencilAt returns the stencil value at (x, y).
-func (b *Buffer) StencilAt(x, y int) uint8 {
-	t, i := b.locate(x, y)
-	return b.stencil.at(t, i)
-}
-
-// SetStencil writes the stencil value at (x, y).
-func (b *Buffer) SetStencil(x, y int, s uint8) {
-	t, i := b.locate(x, y)
-	b.stencil.writable(t)[i] = s
-}
-
 // TileOf returns the tile index containing pixel (x, y).
 func (b *Buffer) TileOf(x, y int) int {
 	return (y/TileSize)*b.tilesX + x/TileSize
@@ -351,7 +335,7 @@ func (b *Buffer) DirtyTiles() []int {
 	return out
 }
 
-// CopyTileFrom copies tile t (colour, depth and stencil) from src, which must
+// CopyTileFrom copies tile t (colour and depth) from src, which must
 // have identical dimensions, and marks it dirty if it was dirty in src. The
 // copy shares src's blocks (see the package comment), so it allocates
 // nothing unless src's tile reads as a clear value b's plane does not share.
@@ -362,7 +346,6 @@ func (b *Buffer) CopyTileFrom(src *Buffer, t int) error {
 	}
 	b.color.copyTile(&src.color, t)
 	b.depth.copyTile(&src.depth, t)
-	b.stencil.copyTile(&src.stencil, t)
 	if src.dirty[t] {
 		b.dirty[t] = true
 	}
@@ -370,32 +353,30 @@ func (b *Buffer) CopyTileFrom(src *Buffer, t int) error {
 }
 
 // ClearTile resets tile t to the cleared state (transparent colour, far
-// depth, zero stencil) and clears its dirty flag. Degraded-mode recovery
+// depth) and clears its dirty flag. Degraded-mode recovery
 // uses this before re-rendering a reassigned tile from scratch.
 func (b *Buffer) ClearTile(t int) {
 	b.color.fillTile(t, colorspace.Transparent)
 	b.depth.fillTile(t, ClearDepth)
-	b.stencil.fillTile(t, 0)
 	b.dirty[t] = false
 }
 
 // Clone returns a copy of the buffer that shares every block with b.
 func (b *Buffer) Clone() *Buffer {
 	return &Buffer{
-		width:   b.width,
-		height:  b.height,
-		tilesX:  b.tilesX,
-		tilesY:  b.tilesY,
-		color:   b.color.clone(),
-		depth:   b.depth.clone(),
-		stencil: b.stencil.clone(),
-		dirty:   slices.Clone(b.dirty),
+		width:  b.width,
+		height: b.height,
+		tilesX: b.tilesX,
+		tilesY: b.tilesY,
+		color:  b.color.clone(),
+		depth:  b.depth.clone(),
+		dirty:  slices.Clone(b.dirty),
 	}
 }
 
 // Equal reports whether two buffers have identical dimensions and whether
 // every pixel's colour is within eps per channel and depth within eps.
-// Stencil must match exactly. Dirty flags are not compared.
+// Dirty flags are not compared.
 func (b *Buffer) Equal(o *Buffer, eps float64) bool {
 	if b.width != o.width || b.height != o.height {
 		return false
@@ -404,8 +385,7 @@ func (b *Buffer) Equal(o *Buffer, eps float64) bool {
 		for x := 0; x < b.width; x++ {
 			t, i := b.locate(x, y)
 			if !b.color.at(t, i).ApproxEqual(o.color.at(t, i), eps) ||
-				math.Abs(b.depth.at(t, i)-o.depth.at(t, i)) > eps ||
-				b.stencil.at(t, i) != o.stencil.at(t, i) {
+				math.Abs(b.depth.at(t, i)-o.depth.at(t, i)) > eps {
 				return false
 			}
 		}

@@ -64,8 +64,7 @@ func TestClearAndPixelAccess(t *testing.T) {
 	blue := colorspace.Opaque(0, 0, 1)
 	b.Set(10, 20, blue)
 	b.SetDepth(10, 20, 0.25)
-	b.SetStencil(10, 20, 7)
-	if b.At(10, 20) != blue || b.DepthAt(10, 20) != 0.25 || b.StencilAt(10, 20) != 7 {
+	if b.At(10, 20) != blue || b.DepthAt(10, 20) != 0.25 {
 		t.Error("pixel write/read mismatch")
 	}
 }
@@ -115,11 +114,10 @@ func TestCopyTileFrom(t *testing.T) {
 	green := colorspace.Opaque(0, 1, 0)
 	src.Set(70, 70, green) // tile (1,1) = 3 in a 2×2 grid
 	src.SetDepth(70, 70, 0.3)
-	src.SetStencil(70, 70, 9)
 	tile := src.TileOf(70, 70)
 	dst.ClearDirty()
 	dst.CopyTileFrom(src, tile)
-	if dst.At(70, 70) != green || dst.DepthAt(70, 70) != 0.3 || dst.StencilAt(70, 70) != 9 {
+	if dst.At(70, 70) != green || dst.DepthAt(70, 70) != 0.3 {
 		t.Error("tile copy did not transfer pixel planes")
 	}
 	if !dst.Dirty(tile) {
@@ -221,8 +219,8 @@ func TestOwnerOfZeroGPUs(t *testing.T) {
 
 func TestUntouchedTileReadsClearValue(t *testing.T) {
 	b := MustNew(200, 130) // 4×3 tiles, partial edge tiles
-	if b.At(199, 129) != colorspace.Transparent || b.DepthAt(199, 129) != ClearDepth || b.StencilAt(199, 129) != 0 {
-		t.Fatal("fresh buffer does not read as transparent, far depth, zero stencil")
+	if b.At(199, 129) != colorspace.Transparent || b.DepthAt(199, 129) != ClearDepth {
+		t.Fatal("fresh buffer does not read as transparent, far depth")
 	}
 	red := colorspace.Opaque(1, 0, 0)
 	b.Clear(red, 0.5)
@@ -230,7 +228,7 @@ func TestUntouchedTileReadsClearValue(t *testing.T) {
 	// The written tile's other pixels and every untouched tile read the
 	// clear value.
 	for _, p := range [][2]int{{11, 10}, {63, 63}, {64, 0}, {199, 129}} {
-		if b.At(p[0], p[1]) != red || b.DepthAt(p[0], p[1]) != 0.5 || b.StencilAt(p[0], p[1]) != 0 {
+		if b.At(p[0], p[1]) != red || b.DepthAt(p[0], p[1]) != 0.5 {
 			t.Errorf("pixel %v does not read the clear value", p)
 		}
 	}
@@ -245,7 +243,6 @@ func TestPixelOrderIsRowMajor(t *testing.T) {
 			c := colorspace.Opaque(float64(x)/w, float64(y)/h, float64((x*7+y*3)%11)/11)
 			b.Set(x, y, c)
 			b.SetDepth(x, y, float64(x+y*w)/(w*h))
-			b.SetStencil(x, y, uint8(x^y))
 			want = append(want, c)
 		}
 	}
@@ -265,7 +262,7 @@ func TestPixelOrderIsRowMajor(t *testing.T) {
 			if img.RGBAAt(x, y) != (color.RGBA{R: r, G: g, B: bl, A: a}) {
 				t.Fatalf("ToImage(%d, %d) differs", x, y)
 			}
-			if b.At(x, y) != c || b.DepthAt(x, y) != float64(x+y*w)/(w*h) || b.StencilAt(x, y) != uint8(x^y) {
+			if b.At(x, y) != c || b.DepthAt(x, y) != float64(x+y*w)/(w*h) {
 				t.Fatalf("pixel (%d, %d) did not round-trip", x, y)
 			}
 		}
@@ -276,7 +273,6 @@ func TestCopyTileFromWritesStayPrivate(t *testing.T) {
 	src := MustNew(128, 128)
 	src.Set(70, 70, colorspace.Opaque(1, 0, 0))
 	src.SetDepth(70, 70, 0.3)
-	src.SetStencil(70, 70, 9)
 	tile := src.TileOf(70, 70)
 	dst := MustNew(128, 128)
 	if err := dst.CopyTileFrom(src, tile); err != nil {
@@ -286,8 +282,7 @@ func TestCopyTileFromWritesStayPrivate(t *testing.T) {
 	// A write through the copy does not show in the source.
 	dst.Set(70, 70, colorspace.Opaque(0, 1, 0))
 	dst.SetDepth(70, 70, 0.7)
-	dst.SetStencil(70, 70, 1)
-	if src.At(70, 70) != colorspace.Opaque(1, 0, 0) || src.DepthAt(70, 70) != 0.3 || src.StencilAt(70, 70) != 9 {
+	if src.At(70, 70) != colorspace.Opaque(1, 0, 0) || src.DepthAt(70, 70) != 0.3 {
 		t.Error("write to the copy changed the source")
 	}
 	// A write through the source does not show in a second copy.
@@ -300,7 +295,7 @@ func TestCopyTileFromWritesStayPrivate(t *testing.T) {
 	if dst2.At(71, 71) != colorspace.Transparent || dst2.DepthAt(71, 71) != ClearDepth {
 		t.Error("write to the source changed the copy")
 	}
-	if dst2.At(70, 70) != colorspace.Opaque(1, 0, 0) || dst2.StencilAt(70, 70) != 9 {
+	if dst2.At(70, 70) != colorspace.Opaque(1, 0, 0) {
 		t.Error("copy lost the source's pixels")
 	}
 	if dst.At(70, 70) != colorspace.Opaque(0, 1, 0) || dst.DepthAt(70, 70) != 0.7 {
@@ -334,14 +329,13 @@ func TestClearTileAndResetOnSharedBlock(t *testing.T) {
 	green := colorspace.Opaque(0, 1, 0)
 	src.Set(1, 1, green)
 	src.SetDepth(1, 1, 0.4)
-	src.SetStencil(1, 1, 3)
 
 	dst := MustNew(128, 128)
 	if err := dst.CopyTileFrom(src, 0); err != nil {
 		t.Fatal(err)
 	}
 	dst.ClearTile(0)
-	if dst.At(1, 1) != colorspace.Transparent || dst.DepthAt(1, 1) != ClearDepth || dst.StencilAt(1, 1) != 0 || dst.Dirty(0) {
+	if dst.At(1, 1) != colorspace.Transparent || dst.DepthAt(1, 1) != ClearDepth || dst.Dirty(0) {
 		t.Error("ClearTile did not reset the shared tile")
 	}
 	clone := src.Clone()
@@ -466,7 +460,6 @@ func TestCopyTileFromResidentTileAllocatesNothing(t *testing.T) {
 	src := MustNew(256, 256)
 	src.Set(10, 10, colorspace.Opaque(1, 0, 0))
 	src.SetDepth(10, 10, 0.5)
-	src.SetStencil(10, 10, 1)
 	dst := MustNew(256, 256)
 	if n := testing.AllocsPerRun(100, func() { _ = dst.CopyTileFrom(src, 0) }); n != 0 {
 		t.Errorf("CopyTileFrom of a resident tile: %v allocs, want 0", n)
