@@ -43,7 +43,6 @@ import (
 	"chopin/internal/obs/live"
 	"chopin/internal/runrec"
 	"chopin/internal/sfr"
-	"chopin/internal/sim"
 	"chopin/internal/stats"
 	"chopin/internal/trace"
 )
@@ -96,7 +95,7 @@ func main() {
 		gpus    = flag.Int("gpus", 8, "single run: GPU count (up to 64 for the CHOPIN schemes)")
 		ideal   = flag.Bool("ideal", false, "single run: idealized inter-GPU links")
 		topo    = flag.String("topology", "", "single run: inter-GPU fabric: crossbar | ring | mesh (default crossbar)")
-		compAlg = flag.String("comp-alg", "", "single run: CHOPIN composition exchange plan: direct-send | binary-swap | radix-k | mixed-radix | auto (default direct-send)")
+		compAlg = flag.String("comp-alg", "", "single run: CHOPIN composition exchange plan: direct-send | binary-swap | radix-k (default direct-send)")
 		radixK  = flag.Int("radix-k", 0, "single run: radix for -comp-alg radix-k (0 = largest supported)")
 		pngOut  = flag.String("png", "", "single run: write the rendered frame to this PNG file")
 		fabSum  = flag.Bool("fabric-summary", false, "single run: enable fabric link telemetry and print the per-link summary (hottest links, latency quantiles)")
@@ -109,10 +108,9 @@ func main() {
 		memprof = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		workers = flag.Int("workers", 0, "concurrent simulations per experiment (0 = GOMAXPROCS)")
 
-		faults     = flag.String("faults", "", "single run: fault-injection spec (drop=P,corrupt=P,dup=P,delay=P:C,degrade=F@A:B,stall=G@A+D,fail=G@A,link:A-B@T) or 'random'")
-		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault plan (with -faults)")
-		stragglerW = flag.Int64("straggler-window", 0, "single run: arm CHOPIN's per-round straggler watchdog with this progress window in cycles (0 = off)")
-		timeout    = flag.Duration("timeout", 0, "wall-clock limit; the simulation cancels cleanly when it expires (0 = none)")
+		faults    = flag.String("faults", "", "single run: fault-injection spec (drop=P,corrupt=P,dup=P,delay=P:C,degrade=F@A:B,stall=G@A+D,fail=G@A,link:A-B@T) or 'random'")
+		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault plan (with -faults)")
+		timeout   = flag.Duration("timeout", 0, "wall-clock limit; the simulation cancels cleanly when it expires (0 = none)")
 
 		timeline = flag.String("timeline", "", "single run: write a Perfetto/Chrome trace-event timeline (JSON) to this file")
 		metrics  = flag.String("metrics", "", "single run: write sampled counters (CSV) to this file")
@@ -269,7 +267,7 @@ func main() {
 			interval: *mInterv,
 			frame:    *trFrame,
 		}
-		fo := faultOpts{spec: *faults, seed: *faultSeed, timeout: *timeout, straggler: sim.Cycle(*stragglerW)}
+		fo := faultOpts{spec: *faults, seed: *faultSeed, timeout: *timeout}
 		so := scaleOpts{topology: *topo, compAlg: *compAlg, radixK: *radixK}
 		if err := runSingle(*scheme, *bench, *gpus, *scale, *ideal, *verify, *fabSum, *pngOut, *runrecOut, to, fo, so); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
@@ -314,13 +312,11 @@ type traceOpts struct {
 
 func (t traceOpts) enabled() bool { return t.timeline != "" || t.metrics != "" }
 
-// faultOpts carries the single-run fault-injection, straggler-watchdog, and
-// timeout flags.
+// faultOpts carries the single-run fault-injection and timeout flags.
 type faultOpts struct {
-	spec      string
-	seed      int64
-	timeout   time.Duration
-	straggler sim.Cycle
+	spec    string
+	seed    int64
+	timeout time.Duration
 }
 
 // scaleOpts carries the single-run scale-out flags: fabric topology and
@@ -391,7 +387,6 @@ func runSingle(scheme, bench string, gpus int, scale float64, ideal, verify, fab
 			cfg.Faults = fp
 		}
 	}
-	cfg.StragglerWindow = fo.straggler
 	if fo.timeout > 0 {
 		deadline := time.Now().Add(fo.timeout)
 		cfg.Cancel = func() bool { return time.Now().After(deadline) }
@@ -519,7 +514,7 @@ func printFaultSummary(sys *multigpu.System, st *stats.FrameStats) {
 	f := st.Faults
 	downed := sys.Fabric.DownedLinks()
 	if f.Total()+f.Retries+f.Timeouts+f.Lost == 0 && st.GPUsFailed == 0 &&
-		len(downed) == 0 && st.PlanRepairs == 0 {
+		len(downed) == 0 {
 		return
 	}
 	fmt.Printf("faults: %d injected (drop %d, corrupt %d, dup %d, delay %d); protocol: %d retries, %d timeouts, %d lost\n",
@@ -532,9 +527,9 @@ func printFaultSummary(sys *multigpu.System, st *stats.FrameStats) {
 		fmt.Printf("links down: %s; reroutes %d, unroutable %d\n",
 			strings.Join(names, " "), sys.Fabric.RerouteCount(), sys.Fabric.UnroutableCount())
 	}
-	if st.GPUsFailed > 0 || st.PlanRepairs > 0 {
-		fmt.Printf("recovery: %d GPU(s) failed, %d exchange-plan repair(s); degraded-mode recovery took %d cycles\n",
-			st.GPUsFailed, st.PlanRepairs, st.RecoveryCycles)
+	if st.GPUsFailed > 0 {
+		fmt.Printf("recovery: %d GPU(s) failed; degraded-mode recovery took %d cycles\n",
+			st.GPUsFailed, st.RecoveryCycles)
 	}
 }
 

@@ -14,8 +14,8 @@
 //     this property.
 //
 // [Exchange] executes any exchange plan from package plan (direct-send,
-// binary-swap, radix-k, mixed-radix, or a repaired survivor plan) on real
-// sub-images, with per-message traffic accounting. The planners are the one
+// binary-swap or radix-k) on real sub-images, with per-message traffic
+// accounting. The planners are the one
 // definition of each schedule: the simulator plays the same plans over its
 // timed fabric, and Exchange is their standalone library form and the
 // image-level oracle they are tested against.
@@ -132,14 +132,13 @@ func DepthReference(subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) *fra
 // Exchange composes the per-GPU sub-images subs by playing the exchange
 // plan p round by round with the merges the simulator's plan executor
 // applies, and returns the assembled image with the plan's traffic. p must
-// pass plan.Check; subs[g] may be nil for a GPU outside p's live set. The
-// input sub-images are not modified.
+// pass plan.Check. The input sub-images are not modified.
 //
 // Row-region sessions depth-merge the sender's current rows into the
 // receiver ([DepthMergeRegion]) and are charged their whole region at
 // OpaqueCompositionBytesPerPixel, as the fabric carries them. Every other
-// live GPU then sends its Final rows to the display GPU (the lowest live
-// id): one extra round of colour-only messages.
+// GPU then sends its Final rows to the display GPU 0: one extra round of
+// colour-only messages.
 //
 // Direct-send (OwnerRegions) sessions merge the sender's dirty tiles among
 // the receiver's owned tiles ([DepthMerge]) and are charged only when
@@ -150,22 +149,13 @@ func Exchange(p *plan.Plan, subs []*framebuffer.Buffer, cmp colorspace.CompareFu
 		return nil, Traffic{}, fmt.Errorf("composite: a %d-GPU plan given %d sub-images", p.N, len(subs))
 	}
 	work := make([]*framebuffer.Buffer, p.N)
-	display := -1
 	for g, s := range subs {
-		if !p.IsLive(g) {
-			continue
-		}
 		if s == nil || s.Height() != p.Height {
 			return nil, Traffic{}, fmt.Errorf("composite: GPU %d's sub-image does not match the plan's %d-row screen", g, p.Height)
 		}
-		if display < 0 {
-			display = g
-		}
 		work[g] = s.Clone()
 	}
-	if display < 0 {
-		return nil, Traffic{}, fmt.Errorf("composite: plan has no live GPUs")
-	}
+	const display = 0
 	w := work[display].Width()
 	var owned [][]int
 	if p.OwnerRegions {

@@ -13,7 +13,7 @@ import (
 // plays it on subs with Exchange.
 func exchange(t *testing.T, alg plan.Algorithm, k int, subs []*framebuffer.Buffer, cmp colorspace.CompareFunc) (*framebuffer.Buffer, Traffic) {
 	t.Helper()
-	p, err := plan.For(alg, len(subs), subs[0].Height(), k, plan.AssocCommutative, 1)
+	p, err := plan.For(alg, len(subs), subs[0].Height(), k)
 	if err != nil {
 		t.Fatalf("%s n=%d k=%d: %v", alg, len(subs), k, err)
 	}
@@ -269,7 +269,7 @@ func TestRadixKMatchesReference(t *testing.T) {
 }
 
 // TestRadixKDegenerateCases covers radix-k at its edges: k = n (a prime
-// count, one direct-send-shaped round of row regions, equal to mixed-radix)
+// count, one direct-send-shaped round of row regions)
 // and a single GPU (no rounds; the image is its own sub-image).
 func TestRadixKDegenerateCases(t *testing.T) {
 	prime := randomSubImages(t, 7, 32, 32, 43)
@@ -278,12 +278,8 @@ func TestRadixKDegenerateCases(t *testing.T) {
 	if !rk.Equal(ref, 0) {
 		t.Error("radix-k(n=7, k=7) differs from reference")
 	}
-	mr, mrTr := exchange(t, plan.AlgMixedRadix, 0, prime, colorspace.CmpLess)
-	if !mr.Equal(ref, 0) {
-		t.Error("mixed-radix(n=7) differs from reference")
-	}
-	if rkTr != mrTr || rkTr.Rounds != 2 {
-		t.Errorf("radix-7 traffic %+v, mixed-radix(7) %+v: want equal, one exchange round plus the gather", rkTr, mrTr)
+	if rkTr.Rounds != 2 || rkTr.Messages != 7*6+6 {
+		t.Errorf("radix-7 traffic %+v: want one exchange round of 42 sessions plus a 6-message gather", rkTr)
 	}
 
 	one := randomSubImages(t, 1, 32, 32, 44)
@@ -329,28 +325,5 @@ func TestScheduleTrafficScaling(t *testing.T) {
 	_, bs := exchange(t, plan.AlgBinarySwap, 0, subs, colorspace.CmpLess)
 	if bs.Bytes >= ds.Bytes {
 		t.Errorf("binary-swap bytes (%d) should be below direct-send (%d)", bs.Bytes, ds.Bytes)
-	}
-}
-
-func TestMixedRadixMatchesReference(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 6, 8, 10, 12} {
-		subs := randomSubImages(t, n, 64, 64, int64(40+n))
-		ref := DepthReference(subs, colorspace.CmpLess)
-		got, tr := exchange(t, plan.AlgMixedRadix, 0, subs, colorspace.CmpLess)
-		if !got.Equal(ref, 0) {
-			t.Fatalf("n=%d: mixed-radix differs in %d pixels", n, got.DiffCount(ref, 0))
-		}
-		if tr.Rounds < 2 || tr.Messages == 0 {
-			t.Errorf("n=%d: traffic = %+v", n, tr)
-		}
-	}
-}
-
-func TestMixedRadixEqualsBinarySwapForPowersOfTwo(t *testing.T) {
-	subs := randomSubImages(t, 8, 64, 64, 99)
-	_, bs := exchange(t, plan.AlgBinarySwap, 0, subs, colorspace.CmpLess)
-	_, mr := exchange(t, plan.AlgMixedRadix, 0, subs, colorspace.CmpLess)
-	if bs != mr {
-		t.Errorf("mixed-radix(8) should equal binary-swap: %+v vs %+v", mr, bs)
 	}
 }

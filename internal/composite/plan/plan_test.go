@@ -44,11 +44,6 @@ func TestPlannersCheckAllCounts(t *testing.T) {
 		} else if err := Check(p); err != nil {
 			t.Errorf("DirectSend(%d): %v", n, err)
 		}
-		if p, err := MixedRadix(n, h); err != nil {
-			t.Errorf("MixedRadix(%d): %v", n, err)
-		} else if err := Check(p); err != nil {
-			t.Errorf("MixedRadix(%d): %v", n, err)
-		}
 		pow2 := n&(n-1) == 0
 		p, err := BinarySwap(n, h)
 		if pow2 {
@@ -132,8 +127,8 @@ func TestRadixKRounds(t *testing.T) {
 	}
 }
 
-// TestRadixKErrors pins the error contract shared with MixedRadix: planners
-// return errors, never panic.
+// TestRadixKErrors pins the planners' error contract: they return errors,
+// never panic.
 func TestRadixKErrors(t *testing.T) {
 	if _, err := RadixK(12, 64, 4); err == nil {
 		t.Error("RadixK(12, k=4): want non-power error")
@@ -144,11 +139,11 @@ func TestRadixKErrors(t *testing.T) {
 	if _, err := RadixK(65, 64, 2); err == nil {
 		t.Error("RadixK(65): want range error")
 	}
-	if _, err := MixedRadix(0, 64); err == nil {
-		t.Error("MixedRadix(0): want range error")
+	if _, err := DirectSend(0, 64); err == nil {
+		t.Error("DirectSend(0): want range error")
 	}
-	if _, err := MixedRadix(65, 64); err == nil {
-		t.Error("MixedRadix(65): want range error")
+	if _, err := DirectSend(65, 64); err == nil {
+		t.Error("DirectSend(65): want range error")
 	}
 	if _, err := BinarySwap(4, 0); err == nil {
 		t.Error("BinarySwap(h=0): want height error")
@@ -167,75 +162,40 @@ func TestDefaultK(t *testing.T) {
 	}
 }
 
-// TestAutoSelection pins the selection table Auto documents.
-func TestAutoSelection(t *testing.T) {
-	for _, tc := range []struct {
-		n        int
-		class    OpClass
-		diameter int
-		want     Algorithm
-	}{
-		{8, AssocOrdered, 1, AlgDirectSend},    // non-commutative: ordered chain shape
-		{64, NonAssociative, 1, AlgDirectSend}, // non-associative: same fallback
-		{4, AssocCommutative, 1, AlgDirectSend},
-		{8, AssocCommutative, 1, AlgDirectSend},
-		{8, AssocCommutative, 4, AlgBinarySwap},  // ring: n<=8 but high diameter
-		{33, AssocCommutative, 1, AlgMixedRadix}, // non-power-of-two
-		{12, AssocCommutative, 6, AlgMixedRadix},
-		{16, AssocCommutative, 1, AlgRadixK}, // flat fabric, radix 4
-		{64, AssocCommutative, 1, AlgRadixK}, // flat fabric, radix 8
-		{32, AssocCommutative, 1, AlgBinarySwap},
-		{64, AssocCommutative, 14, AlgBinarySwap}, // mesh: high diameter
-	} {
-		if got := Auto(tc.n, tc.class, tc.diameter); got != tc.want {
-			t.Errorf("Auto(%d, %v, %d) = %v, want %v", tc.n, tc.class, tc.diameter, got, tc.want)
-		}
-	}
-}
-
-// TestLegal pins the operator-class gate.
-func TestLegal(t *testing.T) {
-	for _, a := range []Algorithm{AlgDirectSend, AlgBinarySwap, AlgRadixK, AlgMixedRadix} {
-		if !Legal(a, AssocCommutative) {
-			t.Errorf("Legal(%v, commutative) = false", a)
-		}
-		if Legal(a, AssocOrdered) || Legal(a, NonAssociative) {
-			t.Errorf("Legal(%v, non-commutative) = true", a)
-		}
-	}
-	if !Legal(AlgAuto, AssocOrdered) {
-		t.Error("Legal(auto, ordered) = false: Auto must resolve for any class")
-	}
-}
-
-// TestFor covers auto resolution, legality gating, and default-k resolution.
+// TestFor covers dispatch, explicit and default-k radix resolution, and the
+// unknown-algorithm error.
 func TestFor(t *testing.T) {
-	p, err := For(AlgAuto, 64, 128, 0, AssocCommutative, 1)
+	p, err := For(AlgRadixK, 64, 128, 0)
 	if err != nil || p.Alg != AlgRadixK || len(p.Rounds) != 2 || len(p.Rounds[0]) != 64*7 {
-		t.Fatalf("For(auto, 64, flat) = (%+v, %v), want radix-8", p, err)
+		t.Fatalf("For(radix-k, 64, k=0) = (%+v, %v), want radix-8", p, err)
 	}
-	if _, err := For(AlgBinarySwap, 8, 64, 0, AssocOrdered, 1); err == nil {
-		t.Error("For(binary-swap, ordered): want legality error")
+	p, err = For(AlgRadixK, 9, 64, 3)
+	if err != nil || len(p.Rounds) != 2 {
+		t.Fatalf("For(radix-k, 9, k=3) = (%+v, %v), want two radix-3 rounds", p, err)
 	}
-	if _, err := For(AlgRadixK, 33, 64, 0, AssocCommutative, 1); err == nil {
+	if _, err := For(AlgRadixK, 33, 64, 0); err == nil {
 		t.Error("For(radix-k, 33, k=0): want no-default-radix error")
 	}
-	p, err = For(AlgAuto, 33, 64, 0, AssocCommutative, 1)
-	if err != nil || p.Alg != AlgMixedRadix {
-		t.Fatalf("For(auto, 33) = (%+v, %v), want mixed-radix", p, err)
+	if _, err := For(AlgBinarySwap, 12, 64, 0); err == nil {
+		t.Error("For(binary-swap, 12): want power-of-two error")
+	}
+	if _, err := For(Algorithm(3), 8, 64, 0); err == nil {
+		t.Error("For(3): want unknown-algorithm error")
 	}
 }
 
 // TestParseAlgorithm covers the flag round trip.
 func TestParseAlgorithm(t *testing.T) {
-	for _, a := range []Algorithm{AlgDirectSend, AlgBinarySwap, AlgRadixK, AlgMixedRadix, AlgAuto} {
+	for _, a := range []Algorithm{AlgDirectSend, AlgBinarySwap, AlgRadixK} {
 		got, err := ParseAlgorithm(a.String())
 		if err != nil || got != a {
 			t.Errorf("round trip %v: (%v, %v)", a, got, err)
 		}
 	}
-	if _, err := ParseAlgorithm("quantum"); err == nil || !strings.Contains(err.Error(), "quantum") {
-		t.Errorf("ParseAlgorithm(quantum) error = %v, want named error", err)
+	for _, gone := range []string{"quantum", "mixed-radix", "auto"} {
+		if _, err := ParseAlgorithm(gone); err == nil || !strings.Contains(err.Error(), gone) {
+			t.Errorf("ParseAlgorithm(%s) error = %v, want named error", gone, err)
+		}
 	}
 }
 
@@ -268,16 +228,5 @@ func TestCheckRejectsBadPlans(t *testing.T) {
 	}
 	if err := Check(bad3); err == nil {
 		t.Error("Check accepted overlapping send/receive rows in one round")
-	}
-}
-
-func TestFactorize(t *testing.T) {
-	cases := map[int][]int{
-		2: {2}, 6: {2, 3}, 8: {2, 2, 2}, 12: {2, 2, 3}, 7: {7}, 1: nil,
-	}
-	for n, want := range cases {
-		if got := factorize(n); !reflect.DeepEqual(got, want) {
-			t.Errorf("factorize(%d) = %v, want %v", n, got, want)
-		}
 	}
 }

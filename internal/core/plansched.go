@@ -81,22 +81,10 @@ func NewPlanScheduler(p *plan.Plan) (*PlanScheduler, error) {
 			if s.Sender < 0 || s.Sender >= p.N || s.Receiver < 0 || s.Receiver >= p.N {
 				return nil, fmt.Errorf("core: plan session %+v out of range for %d GPUs", s, p.N)
 			}
-			if !p.IsLive(s.Sender) || !p.IsLive(s.Receiver) {
-				return nil, fmt.Errorf("core: plan session %+v touches a dead GPU", s)
-			}
 			ps.left[r][s.Sender]++
 			ps.left[r][s.Receiver]++
 			ps.touch[r][s.Sender][i/64] |= 1 << uint(i%64)
 			ps.touch[r][s.Receiver][i/64] |= 1 << uint(i%64)
-		}
-	}
-	// Dead GPUs of a repair plan hold no sessions and never report ready:
-	// finish them at construction so Done() tracks survivors only.
-	for g := 0; g < p.N; g++ {
-		if !p.IsLive(g) {
-			ps.round[g] = len(p.Rounds)
-			ps.finished[g] = true
-			ps.done++
 		}
 	}
 	return ps, nil
@@ -200,14 +188,11 @@ func (ps *PlanScheduler) Complete(s plan.Session) error {
 // Done reports whether every GPU has completed every round.
 func (ps *PlanScheduler) Done() bool { return ps.done == ps.p.N }
 
-// CompletedRounds returns the number of leading rounds every live GPU has
-// fully completed — the checkpoint a plan repair restarts from.
+// CompletedRounds returns the number of leading rounds every GPU has fully
+// completed, for watchdog diagnostics.
 func (ps *PlanScheduler) CompletedRounds() int {
 	min := len(ps.p.Rounds)
 	for g := 0; g < ps.p.N; g++ {
-		if !ps.p.IsLive(g) {
-			continue
-		}
 		if ps.round[g] < min {
 			min = ps.round[g]
 		}

@@ -57,7 +57,7 @@ func (g GPUState) String() string {
 // diagnostic: where the composition exchange stood when the frame wedged.
 // Captured only while a plan executor is live (SetPlanState).
 type PlanState struct {
-	// CompletedRounds is the number of leading rounds every live GPU has
+	// CompletedRounds is the number of leading rounds every GPU has
 	// finished, of Rounds total.
 	CompletedRounds int
 	Rounds          int
@@ -65,14 +65,11 @@ type PlanState struct {
 	PendingSessions int
 	// Ready is the bitmask of GPUs whose sub-images were marked ready.
 	Ready uint64
-	// Live is the bitmask of GPUs participating in the (possibly repaired)
-	// plan.
-	Live uint64
 }
 
 func (p *PlanState) String() string {
-	return fmt.Sprintf("plan: round %d/%d, %d pending session(s), ready=%#x, live=%#x",
-		p.CompletedRounds, p.Rounds, p.PendingSessions, p.Ready, p.Live)
+	return fmt.Sprintf("plan: round %d/%d, %d pending session(s), ready=%#x",
+		p.CompletedRounds, p.Rounds, p.PendingSessions, p.Ready)
 }
 
 // A DeadlockError reports that the event queue drained while barriers were

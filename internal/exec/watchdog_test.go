@@ -108,10 +108,10 @@ func TestWatchdogDiagnosticsIncludePlanState(t *testing.T) {
 	// With a plan-state provider installed (as the plan executor does for the
 	// lifetime of each plan-composed group), both watchdog diagnostics must
 	// report where the exchange stood: active round, pending sessions, and
-	// the ready/live GPU bitmasks.
+	// the ready GPU bitmask.
 	r := watchdogRuntime(t, 1000)
 	r.SetPlanState(func() *PlanState {
-		return &PlanState{CompletedRounds: 2, Rounds: 4, PendingSessions: 3, Ready: 0xb, Live: 0xf}
+		return &PlanState{CompletedRounds: 2, Rounds: 4, PendingSessions: 3, Ready: 0xb}
 	})
 	b := r.TracedBarrier("plan exchange", func() { t.Error("wedged barrier released") })
 	b.Add(1)
@@ -124,7 +124,7 @@ func TestWatchdogDiagnosticsIncludePlanState(t *testing.T) {
 	if dl.Plan == nil || dl.Plan.CompletedRounds != 2 || dl.Plan.PendingSessions != 3 {
 		t.Errorf("deadlock plan state = %+v", dl.Plan)
 	}
-	for _, want := range []string{"plan: round 2/4", "3 pending session(s)", "ready=0xb", "live=0xf"} {
+	for _, want := range []string{"plan: round 2/4", "3 pending session(s)", "ready=0xb"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("diagnostic missing %q: %v", want, err)
 		}
@@ -133,7 +133,7 @@ func TestWatchdogDiagnosticsIncludePlanState(t *testing.T) {
 	// The stuck path must carry the same snapshot.
 	r2 := watchdogRuntime(t, 1000)
 	r2.SetPlanState(func() *PlanState {
-		return &PlanState{CompletedRounds: 1, Rounds: 3, PendingSessions: 5, Ready: 0x1, Live: 0x3}
+		return &PlanState{CompletedRounds: 1, Rounds: 3, PendingSessions: 5, Ready: 0x1}
 	})
 	b2 := r2.TracedBarrier("plan exchange", func() { t.Error("wedged barrier released") })
 	b2.Add(1)

@@ -103,7 +103,7 @@ func scaleOutMatrix() []struct {
 	}{
 		{interconnect.TopoCrossbar, plan.AlgBinarySwap, 8},
 		{interconnect.TopoRing, plan.AlgDirectSend, 8},
-		{interconnect.TopoRing, plan.AlgAuto, 16},
+		{interconnect.TopoRing, plan.AlgBinarySwap, 16},
 		{interconnect.TopoMesh2D, plan.AlgRadixK, 16},
 	}
 }

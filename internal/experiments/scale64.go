@@ -26,7 +26,7 @@ var scale64Topos = []struct {
 }
 
 // scale64Algs is the exchange-plan sweep: the paper's direct send plus the
-// classic parallel-compositing schedules and the per-group Auto selector.
+// classic parallel-compositing schedules.
 var scale64Algs = []struct {
 	name string
 	alg  plan.Algorithm
@@ -34,7 +34,6 @@ var scale64Algs = []struct {
 	{"direct-send", plan.AlgDirectSend},
 	{"binary-swap", plan.AlgBinarySwap},
 	{"radix-k", plan.AlgRadixK},
-	{"auto", plan.AlgAuto},
 }
 
 // scale64 extends the paper's Fig. 13/19 methodology past its 16-GPU

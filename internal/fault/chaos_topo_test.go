@@ -18,7 +18,8 @@ import (
 
 // chaosMatrix is the 3×3 topology × exchange-plan grid. Direct-send is the
 // paper's baseline exchange; binary-swap and radix-k are the plan-composed
-// paths with mid-plan repair.
+// paths, which recover from a fail-stop at the same step-boundary
+// checkpoint.
 var chaosMatrix = []struct {
 	name string
 	topo interconnect.TopologyKind
@@ -63,7 +64,7 @@ func TestChaosTopology(t *testing.T) {
 // TestChaosTopologyFixedSeeds is the CI chaos-topology job's entry point:
 // three pinned seeds run against every cell of the matrix, so each topology's
 // link-down recovery path (reroute, reversal, typed unroutable) and each
-// plan's mid-plan repair are exercised on every CI run.
+// plan's fail-stop recovery are exercised on every CI run.
 func TestChaosTopologyFixedSeeds(t *testing.T) {
 	env := chaosSetup(t)
 	for _, seed := range []int64{7, 42, 1337} {

@@ -526,16 +526,6 @@ func New(eng *sim.Engine, n int, cfg Config) (*Fabric, error) {
 // Topology returns the routed topology, or nil for the crossbar.
 func (f *Fabric) Topology() Topology { return f.topo }
 
-// Diameter returns the fabric's hop diameter: 1 for the crossbar (and
-// ideal fabrics), the topology's diameter otherwise. Plan auto-selection
-// keys off it.
-func (f *Fabric) Diameter() int {
-	if f.topo == nil {
-		return 1
-	}
-	return f.topo.Diameter()
-}
-
 // claimRoute reserves the routed src→dst path for a transfer whose
 // transmission time is tx, starting no earlier than start. The transfer's
 // head waits at each link for the previous occupant to drain, occupies the

@@ -71,9 +71,8 @@ type Topology interface {
 	// NumLinks is the number of directed link channels (route entries are
 	// indices in [0, NumLinks)).
 	NumLinks() int
-	// Diameter is the maximum hop count between any pair — the input to
-	// plan auto-selection (a high-diameter fabric favours neighbour-heavy
-	// exchange plans).
+	// Diameter is the maximum hop count between any pair, the longest
+	// route the fabric can be asked to build.
 	Diameter() int
 	// Hops returns the length of the src→dst route.
 	Hops(src, dst int) int

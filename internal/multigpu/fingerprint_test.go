@@ -34,7 +34,7 @@ func TestFingerprintNewAxes(t *testing.T) {
 		{"binary-swap", func(c *Config) { c.CompAlg = plan.AlgBinarySwap }},
 		{"radix-k", func(c *Config) { c.CompAlg = plan.AlgRadixK }},
 		{"radix-4", func(c *Config) { c.CompAlg = plan.AlgRadixK; c.RadixK = 4 }},
-		{"auto-on-ring", func(c *Config) { c.CompAlg = plan.AlgAuto; c.Link.Topology = interconnect.TopoRing }},
+		{"binary-swap-on-ring", func(c *Config) { c.CompAlg = plan.AlgBinarySwap; c.Link.Topology = interconnect.TopoRing }},
 	}
 	for _, v := range variants {
 		cfg := DefaultConfig()
@@ -48,7 +48,7 @@ func TestFingerprintNewAxes(t *testing.T) {
 	// Attachments stay excluded on a scale-out config too.
 	cfg := DefaultConfig()
 	cfg.Link.Topology = interconnect.TopoRing
-	cfg.CompAlg = plan.AlgAuto
+	cfg.CompAlg = plan.AlgBinarySwap
 	withAtt := cfg
 	withAtt.Verify = true
 	withAtt.RecordPerDraw = true

@@ -107,23 +107,13 @@ type Config struct {
 	// (DESIGN.md §10). The zero value, plan.AlgDirectSend, keeps the
 	// paper's direct-send composition path — naive or arbitrated per
 	// UseCompScheduler — bit-for-bit. Any other value routes opaque groups
-	// through the plan executor (binary-swap, radix-k, mixed-radix);
-	// plan.AlgAuto picks per group from the group size, the operator's
-	// algebraic class, and the fabric's topology diameter. Transparent
+	// through the plan executor (binary-swap or radix-k). Transparent
 	// groups always keep the ordered adjacent-merge chain: multi-round
-	// swap plans are illegal for non-commutative operators.
+	// swap plans reorder merges, which a non-commutative blend forbids.
 	CompAlg plan.Algorithm
 	// RadixK is the radix for CompAlg == plan.AlgRadixK; 0 uses
 	// plan.DefaultK for the GPU count.
 	RadixK int
-
-	// StragglerWindow, when positive, arms CHOPIN's per-round progress
-	// watchdog on exchange-plan composition: a plan group that makes no
-	// progress for a full window while at least one GPU is ready has its
-	// laggard excluded and the plan repaired over the rest, instead of
-	// waiting out a stall. 0 (the default) disables straggler exclusion;
-	// it only affects CompAlg != plan.AlgDirectSend runs.
-	StragglerWindow sim.Cycle
 }
 
 // DefaultConfig returns the paper's Table II system.
@@ -205,9 +195,6 @@ func (c Config) Fingerprint() string {
 	fmt.Fprintf(h, "%+v", fp)
 	if c.Link.Topology != interconnect.TopoCrossbar || c.CompAlg != plan.AlgDirectSend || c.RadixK != 0 {
 		fmt.Fprintf(h, "|topo=%d comp=%d k=%d", c.Link.Topology, c.CompAlg, c.RadixK)
-	}
-	if c.StragglerWindow != 0 {
-		fmt.Fprintf(h, "|sw=%d", c.StragglerWindow)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

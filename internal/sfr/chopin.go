@@ -70,15 +70,10 @@ type chopinRun struct {
 	sched core.DrawScheduler
 	ll    *core.LeastLoadedScheduler // non-nil when the Fig. 10 scheduler is used
 
-	// compPlan is the exchange Config.CompAlg resolved to (nil on one GPU).
+	// compPlan is the exchange plan Config.CompAlg names (nil on one GPU).
 	// Opaque groups run the paper's owner-addressed direct send on a
 	// direct-send plan and the plan executor on any other.
 	compPlan *plan.Plan
-	// curPex is the live plan executor while an opaque group composes via
-	// compPlan, so a fail-stop detected mid-plan excludes the GPU from the
-	// running exchange immediately instead of waiting for the step-boundary
-	// checkpoint.
-	curPex *planExec
 
 	steps  []core.Step
 	next   func() // advances the step sequence
@@ -118,10 +113,7 @@ func (c CHOPIN) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStat
 		r.sched = r.ll
 	}
 	if r.n > 1 {
-		// Opaque depth merge is commutative and associative, so every
-		// planner is legal; Auto picks per group size and fabric diameter.
-		p, err := plan.For(sys.Cfg.CompAlg, r.n, sys.Height(), sys.Cfg.RadixK,
-			plan.AssocCommutative, sys.Fabric.Diameter())
+		p, err := plan.For(sys.Cfg.CompAlg, r.n, sys.Height(), sys.Cfg.RadixK)
 		if err != nil {
 			return nil, err
 		}
@@ -151,9 +143,6 @@ func (c CHOPIN) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStat
 	}
 	sys.OnGPUFail(func(g int) {
 		r.failedPending = append(r.failedPending, g)
-		if r.curPex != nil {
-			r.curPex.exclude(g)
-		}
 	})
 
 	// One virtual step past the last group gives failures after the final
@@ -176,19 +165,6 @@ func (c CHOPIN) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStat
 func (r *chopinRun) nextAlive(g int) int {
 	for off := 0; off < r.n; off++ {
 		if cand := (g + off) % r.n; r.sys.Alive(cand) {
-			return cand
-		}
-	}
-	return g
-}
-
-// nextEligible is nextAlive additionally skipping GPUs excluded from the
-// active composition exchange (stragglers are alive but no longer receive
-// this group's draws).
-func (r *chopinRun) nextEligible(g int, excluded []bool) int {
-	for off := 0; off < r.n; off++ {
-		cand := (g + off) % r.n
-		if r.sys.Alive(cand) && !excluded[cand] {
 			return cand
 		}
 	}
@@ -450,13 +426,12 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 	var ps *core.PlanScheduler
 
 	groupEnd := func() {
-		marks := []exec.Mark{{Tag: stats.PhaseNormal, At: tAllReady}}
 		if pex != nil {
-			r.curPex = nil
 			r.ex.SetPlanState(nil)
-			marks = pex.phaseMarks(tAllReady)
 		}
-		r.ex.AttributePhases(phaseStart, marks, stats.PhaseComposition)
+		r.ex.AttributePhases(phaseStart, []exec.Mark{
+			{Tag: stats.PhaseNormal, At: tAllReady},
+		}, stats.PhaseComposition)
 		for g := range r.cumDirty {
 			r.foldDirty(g, rt)
 		}
@@ -473,7 +448,6 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 			r.ex.Fail(err)
 			return
 		}
-		r.curPex = pex
 		r.ex.SetPlanState(pex.planState)
 	case r.sys.Cfg.UseCompScheduler:
 		var err error
@@ -592,14 +566,9 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 	r.ex.IssueDraws(grp.Start, grp.End, func(i int) {
 		d := r.fr.Draws[i]
 		g := r.sched.Assign(d.TriangleCount(), eng.Now())
-		if pex != nil {
-			// Remap assignments away from failed or excluded GPUs (the
-			// driver stops dispatching to a dead GPU as soon as failure is
-			// detected) and record who renders what, so a mid-plan
-			// exclusion knows which draws to re-render on survivors.
-			g = r.nextEligible(g, pex.excluded)
-			pex.assigned[g] = append(pex.assigned[g], i)
-		} else if !r.sys.Alive(g) {
+		if !r.sys.Alive(g) {
+			// The driver stops dispatching to a dead GPU as soon as its
+			// failure is detected.
 			g = r.nextAlive(g)
 		}
 		outstanding[g]++

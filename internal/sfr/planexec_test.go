@@ -19,27 +19,28 @@ func planConfig(n int, alg plan.Algorithm, topo interconnect.TopologyKind) multi
 
 // TestPlanPathMatchesReferenceImage is the master correctness test for the
 // plan executor: every exchange plan must assemble exactly the image the
-// paper's direct send does, at group sizes that exercise power-of-two,
-// composite, and prime factorisations.
+// paper's direct send does, at power-of-two group sizes and at n=9, a
+// radix-3 plan.
 func TestPlanPathMatchesReferenceImage(t *testing.T) {
 	fr := testFrame(t, "cod2", 0.04)
 	ref := ReferenceImages(fr, testConfig(4).Raster)[0]
 	cases := []struct {
-		n    int
+		n, k int
 		algs []plan.Algorithm
 	}{
-		{4, []plan.Algorithm{plan.AlgBinarySwap, plan.AlgRadixK, plan.AlgMixedRadix, plan.AlgAuto}},
-		{6, []plan.Algorithm{plan.AlgMixedRadix, plan.AlgAuto}},
-		{8, []plan.Algorithm{plan.AlgBinarySwap, plan.AlgRadixK, plan.AlgMixedRadix, plan.AlgAuto}},
+		{4, 0, []plan.Algorithm{plan.AlgBinarySwap, plan.AlgRadixK}},
+		{8, 0, []plan.Algorithm{plan.AlgBinarySwap, plan.AlgRadixK}},
+		{9, 3, []plan.Algorithm{plan.AlgRadixK}},
 	}
 	for _, c := range cases {
 		for _, alg := range c.algs {
 			cfg := planConfig(c.n, alg, interconnect.TopoCrossbar)
+			cfg.RadixK = c.k
 			sys, _ := runScheme(t, CHOPIN{}, cfg, fr)
 			img := sys.AssembleImage(0)
 			if !img.Equal(ref, 1e-9) {
-				t.Errorf("CHOPIN/%s n=%d: image differs from reference in %d pixels",
-					alg, c.n, img.DiffCount(ref, 1e-9))
+				t.Errorf("CHOPIN/%s n=%d k=%d: image differs from reference in %d pixels",
+					alg, c.n, c.k, img.DiffCount(ref, 1e-9))
 			}
 		}
 	}
@@ -52,7 +53,7 @@ func TestPlanPathOnRoutedTopologies(t *testing.T) {
 	fr := testFrame(t, "cod2", 0.04)
 	ref := ReferenceImages(fr, testConfig(8).Raster)[0]
 	for _, topo := range []interconnect.TopologyKind{interconnect.TopoRing, interconnect.TopoMesh2D} {
-		for _, alg := range []plan.Algorithm{plan.AlgDirectSend, plan.AlgBinarySwap, plan.AlgAuto} {
+		for _, alg := range []plan.Algorithm{plan.AlgDirectSend, plan.AlgBinarySwap, plan.AlgRadixK} {
 			cfg := planConfig(8, alg, topo)
 			sys, _ := runScheme(t, CHOPIN{}, cfg, fr)
 			img := sys.AssembleImage(0)
@@ -103,7 +104,7 @@ func TestScaleOutSmoke(t *testing.T) {
 	fr := testFrame(t, "wolf", 0.02)
 	ref := ReferenceImages(fr, testConfig(64).Raster)[0]
 	topos := []interconnect.TopologyKind{interconnect.TopoCrossbar, interconnect.TopoRing, interconnect.TopoMesh2D}
-	algs := []plan.Algorithm{plan.AlgDirectSend, plan.AlgBinarySwap, plan.AlgRadixK, plan.AlgAuto}
+	algs := []plan.Algorithm{plan.AlgDirectSend, plan.AlgBinarySwap, plan.AlgRadixK}
 	for _, topo := range topos {
 		for _, alg := range algs {
 			cfg := planConfig(64, alg, topo)

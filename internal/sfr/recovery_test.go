@@ -10,25 +10,26 @@ import (
 )
 
 // TestPlanMidPlanGPUFailureGolden is the scale-out acceptance test for
-// plan-level fault recovery: on a 16-GPU mesh running a multi-round
-// exchange plan, a GPU fail-stops mid-frame. The executor must exclude it
-// from the running exchange, re-render its draws on survivors, restart the
-// repaired plan, and still assemble the byte-identical reference image with
-// the recovery cost accounted. The failure cycle sweeps several points of
-// the frame so at least one lands inside an active exchange (PlanRepairs
-// observes that the mid-plan path — not just the step-boundary checkpoint —
-// actually ran).
+// fault recovery under a multi-round exchange plan: on a 16-GPU mesh, a GPU
+// that owns tiles fail-stops mid-frame. Its in-flight work counts as
+// flushed, the exchange finishes, and the next step-boundary checkpoint
+// re-renders its tiles on survivors; the frame must still assemble the
+// byte-identical reference image with the recovery cost accounted. The
+// failure cycle sweeps several points of the frame, so failures land both
+// inside and between exchanges.
 func TestPlanMidPlanGPUFailureGolden(t *testing.T) {
 	fr := testFrame(t, "cod2", 0.04)
 	ref := ReferenceImages(fr, testConfig(16).Raster)[0]
 	for _, alg := range []plan.Algorithm{plan.AlgBinarySwap, plan.AlgRadixK} {
 		cfg := planConfig(16, alg, interconnect.TopoMesh2D)
 		_, base := runScheme(t, CHOPIN{}, cfg, fr)
-		repaired, recovery := 0, int64(0)
+		recovery := int64(0)
 		for _, frac := range []float64{0.30, 0.50, 0.70} {
 			at := int64(float64(base.TotalCycles) * frac)
 			cfg := planConfig(16, alg, interconnect.TopoMesh2D)
-			cfg.Faults = failPlanAt(5, at)
+			// The 128×128 test screen has 4 tiles, so only GPUs 0–3 own
+			// one; a failure of any other GPU costs no re-render.
+			cfg.Faults = failPlanAt(1, at)
 			sys, st := runScheme(t, CHOPIN{}, cfg, fr)
 			if st.GPUsFailed != 1 {
 				t.Fatalf("%s fail@%d: GPUsFailed = %d, want 1", alg, at, st.GPUsFailed)
@@ -42,15 +43,9 @@ func TestPlanMidPlanGPUFailureGolden(t *testing.T) {
 				t.Errorf("%s fail@%d: degraded image differs from reference in %d of %d pixels",
 					alg, at, img.DiffCount(ref, 1e-9), fr.Width*fr.Height)
 			}
-			repaired += st.PlanRepairs
 			recovery += int64(st.RecoveryCycles)
 		}
-		if repaired == 0 {
-			t.Errorf("%s: no swept failure cycle landed inside an active exchange plan", alg)
-		}
-		// A repair window can be zero-length when the excluded GPU had no
-		// draws assigned yet, and tile re-render is free when it owned no
-		// tiles — but across the sweep at least one failure must cost cycles.
+		// Across the sweep at least one failure must cost cycles.
 		if recovery == 0 {
 			t.Errorf("%s: every swept failure recovered for free: sum RecoveryCycles = 0", alg)
 		}
@@ -88,9 +83,9 @@ func TestPlanLinkDownDuringFrameGolden(t *testing.T) {
 }
 
 // TestPlanGPUFailPlusLinkDownGolden is the combined acceptance scenario: a
-// 16-GPU mesh radix-k frame survives a mid-plan GPU fail-stop AND a downed
-// link, producing the byte-identical reference image with recovery
-// accounted.
+// 16-GPU mesh radix-k frame survives a mid-frame fail-stop of a GPU that
+// owns tiles AND a downed link, producing the byte-identical reference
+// image with recovery accounted.
 func TestPlanGPUFailPlusLinkDownGolden(t *testing.T) {
 	fr := testFrame(t, "cod2", 0.04)
 	ref := ReferenceImages(fr, testConfig(16).Raster)[0]
@@ -100,15 +95,15 @@ func TestPlanGPUFailPlusLinkDownGolden(t *testing.T) {
 	cfg = planConfig(16, plan.AlgRadixK, interconnect.TopoMesh2D)
 	cfg.Faults = &fault.Plan{
 		Seed:      7,
-		GPUs:      []fault.GPUFault{{GPU: 9, At: int64(base.TotalCycles / 2), Fail: true}},
+		GPUs:      []fault.GPUFault{{GPU: 2, At: int64(base.TotalCycles / 2), Fail: true}},
 		LinkFails: []fault.LinkFail{{A: 1, B: 2, At: base.TotalCycles / 4}},
 	}
 	sys, st := runScheme(t, CHOPIN{}, cfg, fr)
 	if st.GPUsFailed != 1 {
 		t.Fatalf("GPUsFailed = %d, want 1", st.GPUsFailed)
 	}
-	if st.PlanRepairs == 0 && st.RecoveryCycles <= 0 {
-		t.Error("combined fault left no recovery trace: PlanRepairs = 0 and RecoveryCycles = 0")
+	if st.RecoveryCycles <= 0 {
+		t.Error("combined fault left no recovery trace: RecoveryCycles = 0")
 	}
 	if st.RecoveryCycles != st.Phase(stats.PhaseRecovery) {
 		t.Errorf("RecoveryCycles = %d, PhaseRecovery = %d; must agree",
@@ -121,11 +116,10 @@ func TestPlanGPUFailPlusLinkDownGolden(t *testing.T) {
 	}
 }
 
-// TestPlanLoneSurvivorRepair fail-stops one of two GPUs mid-frame: the
-// repaired plan degenerates to a lone survivor with zero sessions, which
-// must still complete the group (readiness alone finishes the exchange) and
-// render the reference image.
-func TestPlanLoneSurvivorRepair(t *testing.T) {
+// TestPlanTwoGPUFailStop fail-stops one of two GPUs mid-frame under
+// binary-swap: the lone survivor re-renders the failed GPU's tiles at the
+// next checkpoint and renders the reference image.
+func TestPlanTwoGPUFailStop(t *testing.T) {
 	fr := testFrame(t, "cod2", 0.04)
 	ref := ReferenceImages(fr, testConfig(2).Raster)[0]
 	cfg := planConfig(2, plan.AlgBinarySwap, interconnect.TopoCrossbar)
@@ -139,53 +133,5 @@ func TestPlanLoneSurvivorRepair(t *testing.T) {
 	}
 	if img := sys.AssembleImage(0); !img.Equal(ref, 1e-9) {
 		t.Fatalf("lone-survivor image differs from reference in %d pixels", img.DiffCount(ref, 1e-9))
-	}
-}
-
-// TestPlanStragglerWindowExcludesStall arms the per-round progress
-// watchdog against a long GPU stall: the stalled GPU is excluded from the
-// exchange and the plan repaired early, so rendering progress resumes long
-// before the stall expires — with identical pixels both ways. (Frame-level
-// wall clock is NOT compared: the stalled GPU stays alive and keeps its
-// owned tiles, so the final scatter to it queues behind the stall in both
-// runs; the observable win is that survivors stop waiting, which shows up
-// as normal-phase time moving to overlapped composition time.)
-func TestPlanStragglerWindowExcludesStall(t *testing.T) {
-	fr := testFrame(t, "cod2", 0.04)
-	ref := ReferenceImages(fr, testConfig(4).Raster)[0]
-	stallPlan := func() *fault.Plan {
-		return &fault.Plan{Seed: 2, GPUs: []fault.GPUFault{
-			{GPU: 1, At: 100, Stall: 1_000_000},
-		}}
-	}
-
-	slow := planConfig(4, plan.AlgBinarySwap, interconnect.TopoCrossbar)
-	slow.Faults = stallPlan()
-	sysSlow, stSlow := runScheme(t, CHOPIN{}, slow, fr)
-	if img := sysSlow.AssembleImage(0); !img.Equal(ref, 1e-9) {
-		t.Fatalf("stalled (unwatched) image differs in %d pixels", img.DiffCount(ref, 1e-9))
-	}
-
-	fast := planConfig(4, plan.AlgBinarySwap, interconnect.TopoCrossbar)
-	fast.Faults = stallPlan()
-	fast.StragglerWindow = 60_000
-	sysFast, stFast := runScheme(t, CHOPIN{}, fast, fr)
-	if img := sysFast.AssembleImage(0); !img.Equal(ref, 1e-9) {
-		t.Fatalf("straggler-recovered image differs in %d pixels", img.DiffCount(ref, 1e-9))
-	}
-	if stFast.PlanRepairs == 0 {
-		t.Error("straggler watchdog never repaired the plan")
-	}
-	if fastN, slowN := stFast.Phase(stats.PhaseNormal), stSlow.Phase(stats.PhaseNormal); fastN >= slowN {
-		t.Errorf("exclusion did not cut the wait for the straggler: normal-phase %d (watched) vs %d (unwatched)",
-			fastN, slowN)
-	}
-	if stFast.RecoveryCycles != stFast.Phase(stats.PhaseRecovery) {
-		t.Errorf("RecoveryCycles = %d, PhaseRecovery = %d; must agree",
-			stFast.RecoveryCycles, stFast.Phase(stats.PhaseRecovery))
-	}
-	// Exclusion is per-group: the stalled GPU is alive and keeps its tiles.
-	if !sysFast.Alive(1) || sysFast.NumAlive() != 4 {
-		t.Errorf("straggler was treated as failed: NumAlive = %d", sysFast.NumAlive())
 	}
 }

@@ -106,10 +106,6 @@ type FrameStats struct {
 	Faults FaultStats
 	// GPUsFailed counts GPUs declared failed during the frame.
 	GPUsFailed int
-	// PlanRepairs counts exchange-plan repairs installed after a mid-plan
-	// exclusion (fail-stop or straggler): each one re-rendered the lost
-	// draws on survivors and restarted the exchange over a repaired plan.
-	PlanRepairs int
 	// RecoveryCycles is the wall-clock cost of degraded-mode recovery
 	// (tile reassignment and re-render); it equals Phase(PhaseRecovery).
 	RecoveryCycles sim.Cycle
