@@ -10,7 +10,6 @@
 //	chopinsim -scheme chopin -gpus 64 -topology mesh -comp-alg radix-k   scale-out run
 //	chopinsim -verify -bench cry -scheme chopin   run with invariant checks
 //	chopinsim -scheme chopin -timeline t.json -metrics m.csv   capture a timeline
-//	chopinsim -scheme chopin -timeline t.json -trace-frame 2   trace the 3rd repeat
 //	chopinsim -selfcheck                    determinism self-check
 //	chopinsim -update-golden                re-record golden experiment outputs
 //
@@ -115,7 +114,6 @@ func main() {
 		timeline = flag.String("timeline", "", "single run: write a Perfetto/Chrome trace-event timeline (JSON) to this file")
 		metrics  = flag.String("metrics", "", "single run: write sampled counters (CSV) to this file")
 		mInterv  = flag.Int64("metrics-interval", obs.DefaultSampleInterval, "single run: counter sampling interval in cycles")
-		trFrame  = flag.Int("trace-frame", 0, "single run: repeat the frame N+1 times on fresh systems and trace only repeat N (steady-state capture)")
 
 		runrecOut = flag.String("runrec", "", "write a structured run record (JSON) of every simulation to this file")
 		listen    = flag.String("listen", "", "serve the live sweep monitor (expvar, pprof, SSE progress) on this address, e.g. :8080")
@@ -265,7 +263,6 @@ func main() {
 			timeline: *timeline,
 			metrics:  *metrics,
 			interval: *mInterv,
-			frame:    *trFrame,
 		}
 		fo := faultOpts{spec: *faults, seed: *faultSeed, timeout: *timeout}
 		so := scaleOpts{topology: *topo, compAlg: *compAlg, radixK: *radixK}
@@ -307,7 +304,6 @@ type traceOpts struct {
 	timeline string // Perfetto/Chrome trace-event JSON output path
 	metrics  string // sampled-counter CSV output path
 	interval int64  // counter sampling interval in cycles
-	frame    int    // which frame repeat to trace (steady-state capture)
 }
 
 func (t traceOpts) enabled() bool { return t.timeline != "" || t.metrics != "" }
@@ -397,19 +393,6 @@ func runSingle(scheme, bench string, gpus int, scale float64, ideal, verify, fab
 	}
 	var tr *obs.Tracer
 	if to.enabled() {
-		// A single run simulates one frame; -trace-frame N repeats it N+1
-		// times on fresh systems and attaches the tracer only to repeat N.
-		// The simulator is deterministic, so earlier repeats exist purely to
-		// mirror a "skip warm-up frames" capture workflow.
-		for i := 0; i < to.frame; i++ {
-			warm, err := multigpu.New(cfg, fr.Width, fr.Height)
-			if err != nil {
-				return err
-			}
-			if _, err := s.Run(warm, fr); err != nil {
-				return fmt.Errorf("warm-up repeat %d: %w", i, err)
-			}
-		}
 		tr = obs.New()
 		// The interval is validated positive at flag-parse time.
 		tr.SetSampleInterval(to.interval)
@@ -645,9 +628,6 @@ func writeTrace(tr *obs.Tracer, st *stats.FrameStats, to traceOpts) error {
 	}
 	if ok {
 		fmt.Println("phase reconciliation: span totals match stats.FrameStats phase cycles")
-	}
-	if to.frame > 0 {
-		fmt.Printf("traced frame repeat %d (after %d untraced warm-up repeats)\n", to.frame, to.frame)
 	}
 	return nil
 }

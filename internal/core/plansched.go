@@ -98,10 +98,6 @@ func (ps *PlanScheduler) SetReady(g int) {
 	ps.changed(g)
 }
 
-// Round returns GPU g's current round index (len(plan.Rounds) once g has
-// finished every round).
-func (ps *PlanScheduler) Round(g int) int { return ps.round[g] }
-
 // advance moves g past rounds in which it has no remaining sessions and
 // records completion when it runs out of rounds.
 func (ps *PlanScheduler) advance(g int) {

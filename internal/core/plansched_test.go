@@ -226,8 +226,13 @@ func TestPlanSchedulerRoundGating(t *testing.T) {
 	if completed != 2 {
 		t.Fatalf("completed %d sessions with half the group ready, want 2 (the 0↔1 pair)", completed)
 	}
-	if ps.Round(0) != 1 || ps.Round(1) != 1 {
-		t.Fatalf("rounds after pair exchange: %d, %d; want 1, 1", ps.Round(0), ps.Round(1))
+	// Round 0's 2↔3 pair and all four round-1 sessions are still pending, and
+	// no round is complete group-wide.
+	if got := ps.PendingSessions(); got != 6 {
+		t.Fatalf("pending sessions after pair exchange = %d, want 6", got)
+	}
+	if got := ps.CompletedRounds(); got != 0 {
+		t.Fatalf("completed rounds after pair exchange = %d, want 0", got)
 	}
 	if ps.Done() {
 		t.Fatal("scheduler done with GPUs 2,3 never ready")

@@ -89,18 +89,6 @@ func New(scheme string, sys *multigpu.System, fr *primitive.Frame) *Runtime {
 	return r
 }
 
-// NewSequence returns a runtime bound to a system only, for multi-frame
-// drivers (AFR) that keep their own per-frame state and statistics; Fr and
-// St are nil.
-func NewSequence(sys *multigpu.System) *Runtime {
-	r := &Runtime{Sys: sys}
-	r.initTrace()
-	if iv := sys.Cfg.Watchdog; iv != 0 {
-		r.StartWatchdog(iv)
-	}
-	return r
-}
-
 func (r *Runtime) initTrace() {
 	r.tr = r.Sys.Tracer
 	if r.tr == nil {

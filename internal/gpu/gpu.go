@@ -638,16 +638,3 @@ func (g *GPU) Failed() bool { return g.failed }
 
 // FailedAt returns the cycle Fail was called (0 if the GPU is healthy).
 func (g *GPU) FailedAt() sim.Cycle { return g.failedAt }
-
-// ResetPipeline clears pipeline bookkeeping between frames while keeping
-// functional state and statistics. It returns an error if work is still in
-// flight.
-func (g *GPU) ResetPipeline() error {
-	if g.eng.Now() < g.BusyUntil() {
-		return fmt.Errorf("gpu %d: ResetPipeline with work in flight (busy until cycle %d, now %d)",
-			g.ID, g.BusyUntil(), g.eng.Now())
-	}
-	g.fragStarts = g.fragStarts[:0]
-	g.segments = g.segments[:0]
-	return nil
-}

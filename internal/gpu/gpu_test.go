@@ -258,26 +258,6 @@ func TestPerDrawTimingRecord(t *testing.T) {
 	}
 }
 
-func TestResetPipeline(t *testing.T) {
-	eng := sim.New()
-	g := newTestGPU(t, eng, testCosts(), 64, 64)
-	view, proj := cams(64, 64)
-	g.SubmitDraw(quad(0, 5, 0, 0, 8, 8), view, proj, DrawOpts{})
-	eng.RunUntil(g.BusyUntil())
-	if err := g.ResetPipeline(); err != nil {
-		t.Fatalf("idle reset: %v", err)
-	}
-	if g.ScheduledTriangles() != 2 {
-		t.Errorf("scheduled triangles should persist: %d", g.ScheduledTriangles())
-	}
-	// In-flight reset is refused.
-	g.SubmitDraw(quad(1, 5, 0, 0, 8, 8), view, proj, DrawOpts{})
-	if err := g.ResetPipeline(); err == nil {
-		t.Error("expected error resetting mid-flight")
-	}
-	eng.Run()
-}
-
 func TestBusyUntil(t *testing.T) {
 	eng := sim.New()
 	g := newTestGPU(t, eng, testCosts(), 64, 64)

@@ -101,46 +101,3 @@ func TestTopologySendAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestStartObserver checks the StartObserver extension: Started fires when a
-// queued transfer begins transmitting, with the true occupancy interval, and
-// plain Observers keep working without it.
-func TestStartObserver(t *testing.T) {
-	eng := sim.New()
-	f := newFabric(t, eng, 3, Config{BytesPerCycle: 64, LatencyCycles: 200})
-	so := &startRecorder{}
-	f.SetObserver(so)
-	f.Send(0, 1, 6400, ClassComposition, nil) // tx 100: starts at 0
-	f.Send(0, 2, 6400, ClassComposition, nil) // queued behind it: starts at 100
-	eng.Run()
-	if len(so.starts) != 2 {
-		t.Fatalf("Started fired %d times, want 2", len(so.starts))
-	}
-	if so.starts[0] != (startRec{0, 1, 6400, ClassComposition, 0, 300}) {
-		t.Errorf("first start = %+v", so.starts[0])
-	}
-	if so.starts[1] != (startRec{0, 2, 6400, ClassComposition, 100, 400}) {
-		t.Errorf("second start = %+v (egress port frees at 100)", so.starts[1])
-	}
-	if so.delivered != 2 {
-		t.Errorf("delivered = %d, want 2", so.delivered)
-	}
-}
-
-type startRec struct {
-	src, dst   int
-	bytes      int64
-	class      Class
-	start, end sim.Cycle
-}
-
-type startRecorder struct {
-	starts    []startRec
-	delivered int
-}
-
-func (r *startRecorder) Sent(src, dst int, bytes int64, class Class)      {}
-func (r *startRecorder) Delivered(src, dst int, bytes int64, class Class) { r.delivered++ }
-func (r *startRecorder) Started(src, dst int, bytes int64, class Class, start, end sim.Cycle) {
-	r.starts = append(r.starts, startRec{src, dst, bytes, class, start, end})
-}

@@ -86,11 +86,10 @@ type Config struct {
 	// path.
 	Retry RetryConfig
 	// Topology selects the fabric wiring (see topology.go). The zero value,
-	// TopoCrossbar, is the legacy point-to-point crossbar and keeps the
-	// original timing path bit-for-bit. Routed topologies (ring, mesh) make
-	// each bulk transfer claim a path of per-hop link channels, paying
-	// LatencyCycles per hop and contending for shared links. Ignored on
-	// Ideal fabrics.
+	// TopoCrossbar, gives every ordered GPU pair its own one-hop link. Every
+	// bulk transfer claims its route's per-hop link channels, paying
+	// LatencyCycles per hop; on ring and mesh wirings transfers contend for
+	// shared links. Ignored on Ideal fabrics.
 	Topology TopologyKind
 }
 
@@ -276,11 +275,10 @@ func (e *SelfSendError) Error() string {
 }
 
 // An UnroutableError reports a transfer whose endpoints are disconnected
-// after link fail-stop faults: the crossbar pair's point-to-point connection
-// was downed, or a routed topology's surviving links no longer connect the
-// pair. The fabric records it and completes the transfer at the default
-// route's timing so the frame still drains; schemes surface Err at frame
-// end.
+// after link fail-stop faults: the surviving links no longer connect the
+// pair (on the crossbar, the pair's own link was downed). The fabric
+// records it and completes the transfer at the default route's timing so
+// the frame still drains; schemes surface Err at frame end.
 type UnroutableError struct {
 	Src, Dst int
 	At       sim.Cycle
@@ -401,46 +399,26 @@ type Observer interface {
 	Delivered(src, dst int, bytes int64, class Class)
 }
 
-// StartObserver is an optional extension of Observer. Sent fires when a
-// bulk transfer is queued, which can be long before any byte moves (a
-// blocked egress head parks everything behind it); implementations that also
-// satisfy StartObserver are additionally told when each bulk transfer
-// actually begins transmitting, with its computed timing, so a timeline can
-// draw the true occupancy span rather than the queued interval. end is the
-// cycle the last byte drains at the destination — the same instant the
-// matching Delivered fires.
-//
-// Plain Observer implementations keep working unchanged; the fabric detects
-// the extension with a type assertion at SetObserver time.
-type StartObserver interface {
-	Observer
-	// Started fires when a bulk transfer leaves the egress queue and begins
-	// transmitting.
-	Started(src, dst int, bytes int64, class Class, start, end sim.Cycle)
-}
-
 // Fabric is the inter-GPU network.
 type Fabric struct {
 	eng *sim.Engine
 	cfg Config
 	n   int
 
-	// topo is the routed topology (nil for the crossbar: a single nil check
-	// keeps the legacy timing path). linkFree[l] is when directed link l's
-	// current occupant drains; routeBuf is the preallocated route scratch
-	// (the engine core is single-threaded, so one buffer suffices).
+	// topo is the fabric wiring (nil only on Ideal fabrics, which have no
+	// links). linkFree[l] is when directed link l's current occupant drains;
+	// routeBuf is the preallocated route scratch (the engine core is
+	// single-threaded, so one buffer suffices).
 	topo     Topology
 	linkFree []sim.Cycle
 	routeBuf []int
 
 	// Link fail-stop state. Everything here stays nil until the first
 	// DownLink, so the fault-free path pays a single integer/nil check.
-	// linkDown[l] marks directed link l failed; downedPairs are crossbar
-	// endpoint pairs whose point-to-point connection was severed; detours
-	// caches BFS reroutes until the next DownLink invalidates them.
+	// linkDown[l] marks directed link l failed; detours caches BFS reroutes
+	// until the next DownLink invalidates them.
 	linkDown        []bool
 	downCount       int
-	downedPairs     map[[2]int]bool
 	downedByID      map[int][2]int
 	downedLinks     [][2]int
 	detours         map[[2]int][]int
@@ -459,7 +437,6 @@ type Fabric struct {
 	ingressFree []sim.Cycle
 	accept      []bool
 	obs         Observer
-	obsStart    StartObserver // non-nil iff obs implements StartObserver
 
 	ports []egressPort // one reusable egress-free event per GPU
 	free  *delivery    // recycled delivery events
@@ -511,19 +488,20 @@ func New(eng *sim.Engine, n int, cfg Config) (*Fabric, error) {
 	for i := range f.ports {
 		f.ports[i] = egressPort{f: f, src: i}
 	}
-	if !cfg.Ideal && cfg.Topology != TopoCrossbar {
+	if !cfg.Ideal {
 		topo, err := NewTopology(cfg.Topology, n)
 		if err != nil {
 			return nil, err
 		}
 		f.topo = topo
 		f.linkFree = make([]sim.Cycle, topo.NumLinks())
-		f.routeBuf = make([]int, 0, topo.Diameter()+1)
+		// No simple path, default route or detour, is longer than n-1 hops.
+		f.routeBuf = make([]int, 0, n)
 	}
 	return f, nil
 }
 
-// Topology returns the routed topology, or nil for the crossbar.
+// Topology returns the fabric wiring, or nil on an Ideal fabric.
 func (f *Fabric) Topology() Topology { return f.topo }
 
 // claimRoute reserves the routed src→dst path for a transfer whose
@@ -531,8 +509,9 @@ func (f *Fabric) Topology() Topology { return f.topo }
 // head waits at each link for the previous occupant to drain, occupies the
 // link for tx, and pays the link latency per hop; the returned cycle is
 // when the last byte arrives at dst (before ingress-port serialization).
-// With one hop and no contention this reduces exactly to the crossbar's
-// start + tx + LatencyCycles.
+// With one hop and no contention this reduces to start + tx +
+// LatencyCycles — always the case on the crossbar, whose link src·n+dst is
+// fed only by src's egress port and so is never busy when a transfer starts.
 func (f *Fabric) claimRoute(src, dst int, start, tx sim.Cycle) sim.Cycle {
 	f.routeBuf = f.topo.Route(src, dst, f.routeBuf[:0])
 	if f.downCount != 0 {
@@ -553,28 +532,19 @@ func (f *Fabric) claimRoute(src, dst int, start, tx sim.Cycle) sim.Cycle {
 }
 
 // DownLink fails the fabric link between GPUs a and b (both directions) —
-// a link fail-stop fault. On routed topologies, subsequent transfers whose
-// route crosses the link detour around it over the shortest surviving path
-// (direction reversal on a ring, BFS around the hole on a mesh); pairs the
-// survivors disconnect surface a typed UnroutableError. On the crossbar the
-// a↔b point-to-point connection has no detour, so transfers between the pair
-// are immediately unroutable. Ideal fabrics bypass fault injection entirely,
-// including link faults. An error is returned when the endpoints name no
-// direct link of the topology (the fault cannot materialize).
+// a link fail-stop fault. Subsequent transfers whose route crosses the link
+// detour around it over the shortest surviving path (direction reversal on a
+// ring, BFS around the hole on a mesh); pairs the survivors disconnect
+// surface a typed UnroutableError. Crossbar GPUs relay nothing, so the a↔b
+// pair has no detour and its transfers are immediately unroutable. Ideal
+// fabrics bypass fault injection entirely, including link faults. An error
+// is returned when the endpoints name no direct link of the topology (the
+// fault cannot materialize).
 func (f *Fabric) DownLink(a, b int) error {
 	if a < 0 || b < 0 || a >= f.n || b >= f.n || a == b {
 		return fmt.Errorf("interconnect: invalid link %d-%d for %d GPUs", a, b, f.n)
 	}
 	if f.cfg.Ideal {
-		return nil
-	}
-	if f.topo == nil {
-		if f.downedPairs == nil {
-			f.downedPairs = make(map[[2]int]bool)
-		}
-		f.downedPairs[[2]int{a, b}] = true
-		f.downedPairs[[2]int{b, a}] = true
-		f.downedLinks = append(f.downedLinks, [2]int{a, b})
 		return nil
 	}
 	la := f.topo.LinkBetween(a, b)
@@ -688,8 +658,7 @@ func (f *Fabric) RerouteCount() int64 { return f.rerouteCount }
 func (f *Fabric) UnroutableCount() int64 { return f.unroutableCount }
 
 // LinkRetryCount returns the number of retransmissions whose route crossed
-// directed link l — the per-hop attribution of retry traffic on routed
-// topologies (always 0 on the crossbar, which has no shared links).
+// directed link l — the per-hop attribution of retry traffic.
 func (f *Fabric) LinkRetryCount(l int) int64 {
 	if f.linkRetries == nil || l < 0 || l >= len(f.linkRetries) {
 		return 0
@@ -698,7 +667,7 @@ func (f *Fabric) LinkRetryCount(l int) int64 {
 }
 
 // LinkBusyUntil returns when directed link l's current occupant drains —
-// diagnostic visibility into per-hop claims on routed topologies.
+// diagnostic visibility into per-hop link claims.
 func (f *Fabric) LinkBusyUntil(l int) sim.Cycle {
 	if l < 0 || l >= len(f.linkFree) {
 		return 0
@@ -743,12 +712,8 @@ func (f *Fabric) Stats() *Stats { return &f.stats }
 
 // SetObserver installs an observer notified of every send and delivery
 // (nil removes it). Intended for the verification subsystem; the observer
-// must not mutate the fabric. Observers that additionally implement
-// StartObserver are also notified when bulk transfers begin transmitting.
-func (f *Fabric) SetObserver(o Observer) {
-	f.obs = o
-	f.obsStart, _ = o.(StartObserver)
-}
+// must not mutate the fabric.
+func (f *Fabric) SetObserver(o Observer) { f.obs = o }
 
 // SetInjector installs a fault injector consulted as each transmission
 // starts (nil removes it). With an injector installed and Retry.Timeout > 0,
@@ -826,13 +791,7 @@ func (f *Fabric) Send(src, dst int, bytes int64, class Class, onDelivered func()
 		f.eng.AfterCall(0, f.newDelivery(message{src: src, dst: dst, bytes: bytes, class: class, onDelivered: onDelivered}))
 		return
 	}
-	m := message{src: src, dst: dst, bytes: bytes, class: class, queued: f.eng.Now(), onDelivered: onDelivered}
-	if f.inj != nil && f.cfg.Retry.Timeout > 0 {
-		x := &xfer{}
-		x.m = m
-		x.m.x = x
-		m.x = x
-	}
+	m := f.track(message{src: src, dst: dst, bytes: bytes, class: class, queued: f.eng.Now(), onDelivered: onDelivered}, false)
 	f.egressQueue[src] = append(f.egressQueue[src], m)
 	f.tryStart(src)
 }
@@ -848,14 +807,37 @@ func (f *Fabric) SendControl(src, dst int, bytes int64, fn func()) {
 	if f.obs != nil {
 		f.obs.Sent(src, dst, bytes, ClassControl)
 	}
-	m := message{src: src, dst: dst, bytes: bytes, class: ClassControl, onDelivered: fn}
-	if f.inj != nil && !f.cfg.Ideal && f.cfg.Retry.Timeout > 0 {
-		x := &xfer{control: true}
-		x.m = m
-		x.m.x = x
-		m.x = x
+	f.transmitControl(f.track(message{src: src, dst: dst, bytes: bytes, class: ClassControl, onDelivered: fn}, true))
+}
+
+// track attaches retry-protocol state to m when the protocol is active (an
+// injector installed on a non-ideal fabric with Retry.Timeout > 0), so the
+// transfer is deduplicated, timed out and retransmitted as one unit.
+func (f *Fabric) track(m message, control bool) message {
+	if f.inj == nil || f.cfg.Ideal || f.cfg.Retry.Timeout <= 0 {
+		return m
 	}
-	f.transmitControl(m)
+	x := &xfer{m: m, control: control}
+	x.m.x = x
+	m.x = x
+	return m
+}
+
+// inject consults the injector for one transmission attempt of m, counting
+// the attempt on m's retry state. Without the retry protocol there is no
+// receiver-side dedup, so a duplicated copy — which would complete the
+// caller twice — is suppressed.
+func (f *Fabric) inject(m message) Fault {
+	attempt := 1
+	if m.x != nil {
+		m.x.attempts++
+		attempt = m.x.attempts
+	}
+	flt := f.inj.Transfer(m.src, m.dst, m.bytes, m.class, attempt)
+	if m.x == nil && flt.Kind == FaultDuplicate {
+		flt.Kind = FaultNone
+	}
+	return flt
 }
 
 // transmitControl performs one transmission attempt of a control message:
@@ -867,17 +849,7 @@ func (f *Fabric) transmitControl(m message) {
 	}
 	var flt Fault
 	if f.inj != nil && !f.cfg.Ideal {
-		attempt := 1
-		if m.x != nil {
-			m.x.attempts++
-			attempt = m.x.attempts
-		}
-		flt = f.inj.Transfer(m.src, m.dst, m.bytes, ClassControl, attempt)
-		if m.x == nil && flt.Kind == FaultDuplicate {
-			// Without the retry protocol there is no receiver-side dedup, so
-			// a duplicated copy would complete the caller twice.
-			flt.Kind = FaultNone
-		}
+		flt = f.inject(m)
 	}
 	if f.tr != nil {
 		f.tr.Instant(f.trEgress[m.src], "control", f.eng.Now(),
@@ -930,17 +902,7 @@ func (f *Fabric) tryStart(src int) {
 	bw := f.cfg.BytesPerCycle
 	var flt Fault
 	if f.inj != nil {
-		attempt := 1
-		if m.x != nil {
-			m.x.attempts++
-			attempt = m.x.attempts
-		}
-		flt = f.inj.Transfer(m.src, m.dst, m.bytes, m.class, attempt)
-		if m.x == nil && flt.Kind == FaultDuplicate {
-			// No receiver-side dedup without the retry protocol; a second
-			// copy would complete the caller twice.
-			flt.Kind = FaultNone
-		}
+		flt = f.inject(m)
 		if mul := f.inj.Bandwidth(src, now); mul > 0 && mul < 1 {
 			bw *= mul
 		}
@@ -951,39 +913,25 @@ func (f *Fabric) tryStart(src int) {
 	}
 	// Egress port frees when the last byte leaves.
 	f.eng.AfterCall(tx, &f.ports[src])
-	// Cut-through delivery: last byte arrives latency cycles after it was
-	// sent; the ingress port serializes concurrent arrivals. On a routed
-	// topology the transfer instead claims its path of link channels,
-	// waiting out per-link contention and paying the latency per hop.
-	arrive := now + tx + f.cfg.LatencyCycles
-	if f.topo != nil {
-		arrive = f.claimRoute(m.src, m.dst, now, tx)
-		if m.x != nil && m.x.attempts > 1 {
-			// Attribute the retransmission to every link it re-claims: the
-			// retry holds the whole routed path again, not just the ports.
-			if f.linkRetries == nil {
-				f.linkRetries = make([]int64, f.topo.NumLinks())
-			}
-			for _, l := range f.routeBuf {
-				f.linkRetries[l]++
-			}
+	// Cut-through delivery: the transfer claims its path of link channels,
+	// waiting out per-link contention and paying the latency per hop; the
+	// ingress port serializes concurrent arrivals.
+	arrive := f.claimRoute(m.src, m.dst, now, tx)
+	if m.x != nil && m.x.attempts > 1 {
+		// Attribute the retransmission to every link it re-claims: the retry
+		// holds the whole path again, not just the ports.
+		if f.linkRetries == nil {
+			f.linkRetries = make([]int64, f.topo.NumLinks())
 		}
-	} else if f.downedPairs != nil && f.downedPairs[[2]int{m.src, m.dst}] {
-		// The crossbar pair's point-to-point connection is down and has no
-		// detour; record the typed error and let the transfer drain.
-		f.unroutableCount++
-		f.fail(&UnroutableError{Src: m.src, Dst: m.dst, At: now, Link: [2]int{m.src, m.dst}})
+		for _, l := range f.routeBuf {
+			f.linkRetries[l]++
+		}
 	}
 	if f.lt != nil {
-		// Attribute the transmission to the links it occupies (the claimed
-		// route, or the pair's point-to-point connection on the crossbar) —
-		// dropped copies included: their bytes left the source and held the
-		// links either way.
-		var route []int
-		if f.topo != nil {
-			route = f.routeBuf
-		}
-		f.lt.recordTransmission(m.src, m.dst, m.bytes, route, tx, now-m.queued)
+		// Attribute the transmission to the links it occupies — dropped
+		// copies included: their bytes left the source and held the links
+		// either way.
+		f.lt.recordTransmission(m.bytes, f.routeBuf, tx, now-m.queued)
 	}
 	switch flt.Kind {
 	case FaultDelay:
@@ -1009,16 +957,9 @@ func (f *Fabric) tryStart(src int) {
 		// copies never complete a transfer, so they stay out of the
 		// distribution (the fault counters account for them).
 		f.lt.latency.Record(recvDone - m.queued)
-		if f.topo != nil {
-			f.lt.hops.Record(int64(len(f.routeBuf)))
-		} else {
-			f.lt.hops.Record(1)
-		}
+		f.lt.hops.Record(int64(len(f.routeBuf)))
 	}
 	f.wireBytes[m.class] += m.bytes
-	if f.obsStart != nil {
-		f.obsStart.Started(m.src, m.dst, m.bytes, m.class, now, recvDone)
-	}
 	if f.tr != nil {
 		name := m.class.String()
 		// Category: composition-class traffic is composition work (the

@@ -14,26 +14,23 @@ import (
 )
 
 // LinkTelemetry accumulates per-link counters and per-transfer histograms
-// for one fabric. On routed topologies the link space is the topology's
-// directed link channels; on the crossbar — which has no shared links — each
-// ordered GPU pair's point-to-point connection is its own link, id
-// src·n + dst. All counters are deterministic: they accumulate quantities
-// the timing model already computes, so a telemetry-enabled run is
-// byte-identical to a disabled one and identical on every repeated run.
+// for one fabric, indexed by the topology's directed link ids (on the
+// crossbar, each ordered GPU pair's own link, id src·n + dst). All counters
+// are deterministic: they accumulate quantities the timing model already
+// computes, so a telemetry-enabled run is byte-identical to a disabled one
+// and identical on every repeated run.
 type LinkTelemetry struct {
-	f    *Fabric
-	topo Topology // nil on the crossbar
-	n    int
+	f *Fabric
 
 	// Per-link accumulators, indexed by directed link id.
 	busy      []sim.Cycle // cycles the link was occupied by a transmission
 	bytes     []int64     // payload bytes carried
 	transfers []int64     // transmissions carried (retransmissions included)
 	queued    []sim.Cycle // cycles transfers spent waiting for this link
-	reroutes  []int64     // detours forced by this (downed) link; routed only
+	reroutes  []int64     // detours forced by this (downed) link
 
 	latency hist.H // per-transmission end-to-end latency: queue → last byte drained
-	hops    hist.H // per-transmission route length (1 on the crossbar)
+	hops    hist.H // per-transmission route length (always 1 on the crossbar)
 }
 
 // EnableLinkTelemetry attaches (and returns) the fabric's link-telemetry
@@ -47,14 +44,9 @@ func (f *Fabric) EnableLinkTelemetry() *LinkTelemetry {
 	if f.lt != nil {
 		return f.lt
 	}
-	links := f.n * f.n
-	if f.topo != nil {
-		links = f.topo.NumLinks()
-	}
+	links := f.topo.NumLinks()
 	f.lt = &LinkTelemetry{
 		f:         f,
-		topo:      f.topo,
-		n:         f.n,
 		busy:      make([]sim.Cycle, links),
 		bytes:     make([]int64, links),
 		transfers: make([]int64, links),
@@ -68,20 +60,11 @@ func (f *Fabric) EnableLinkTelemetry() *LinkTelemetry {
 // disabled.
 func (f *Fabric) LinkTelemetry() *LinkTelemetry { return f.lt }
 
-// recordTransmission attributes one started transmission to its links.
-// route is the claimed path on routed topologies and nil on the crossbar;
-// wait is how long the transfer sat queued at the egress port before its
-// first byte moved, attributed to the first link of the path (the one it was
-// effectively waiting to enter).
-func (lt *LinkTelemetry) recordTransmission(src, dst int, bytes int64, route []int, tx, wait sim.Cycle) {
-	if lt.topo == nil {
-		l := src*lt.n + dst
-		lt.busy[l] += tx
-		lt.bytes[l] += bytes
-		lt.transfers[l]++
-		lt.queued[l] += wait
-		return
-	}
+// recordTransmission attributes one started transmission to the links of
+// its claimed route; wait is how long the transfer sat queued at the egress
+// port before its first byte moved, attributed to the first link of the path
+// (the one it was effectively waiting to enter).
+func (lt *LinkTelemetry) recordTransmission(bytes int64, route []int, tx, wait sim.Cycle) {
 	for i, l := range route {
 		lt.busy[l] += tx
 		lt.bytes[l] += bytes
@@ -110,7 +93,7 @@ func (lt *LinkTelemetry) Transfers(l int) int64 { return lt.transfers[l] }
 func (lt *LinkTelemetry) QueuedCycles(l int) sim.Cycle { return lt.queued[l] }
 
 // Reroutes returns how many transfers detoured because directed link l was
-// down. Always 0 on the crossbar (point-to-point pairs have no detour).
+// down. Always 0 on the crossbar (its pairs have no detour).
 func (lt *LinkTelemetry) Reroutes(l int) int64 { return lt.reroutes[l] }
 
 // Retries returns the retransmissions whose route crossed directed link l.
@@ -139,9 +122,8 @@ func (lt *LinkTelemetry) MaxBusy() (link int, busy sim.Cycle) {
 	return link, busy
 }
 
-// LinkName renders directed link l as "gA->gB". On the crossbar the pair is
-// encoded in the id; on routed topologies the endpoints are recovered from
-// the wiring (report-path only, so the scan is fine).
+// LinkName renders directed link l as "gA->gB", recovering the endpoints
+// from the wiring (report-path only, so the scan is fine).
 func (lt *LinkTelemetry) LinkName(l int) string {
 	src, dst := lt.linkEndpoints(l)
 	if src < 0 {
@@ -151,17 +133,13 @@ func (lt *LinkTelemetry) LinkName(l int) string {
 }
 
 // linkEndpoints resolves directed link l to its (src, dst) GPU pair, or
-// (-1, -1) for an unused link slot (mesh edge slots pointing off the grid).
+// (-1, -1) for an unused link slot (mesh edge slots pointing off the grid,
+// the crossbar's self-pair slots).
 func (lt *LinkTelemetry) linkEndpoints(l int) (src, dst int) {
-	if lt.topo == nil {
-		return l / lt.n, l % lt.n
-	}
-	var buf []int
-	for s := 0; s < lt.n; s++ {
-		buf = lt.topo.Neighbors(s, buf[:0])
-		for _, w := range buf {
-			if lt.topo.LinkBetween(s, w) == l {
-				return s, w
+	for s := 0; s < lt.f.n; s++ {
+		for d := 0; d < lt.f.n; d++ {
+			if lt.f.topo.LinkBetween(s, d) == l {
+				return s, d
 			}
 		}
 	}
@@ -188,7 +166,7 @@ func (lt *LinkTelemetry) Top(k int) []LinkLoad {
 			continue
 		}
 		out = append(out, LinkLoad{
-			Link: l, Name: lt.LinkName(l), Busy: b, Bytes: lt.bytes[l],
+			Link: l, Busy: b, Bytes: lt.bytes[l],
 			Transfers: lt.transfers[l], Queued: lt.queued[l], Retries: lt.Retries(l),
 		})
 	}
@@ -203,6 +181,10 @@ func (lt *LinkTelemetry) Top(k int) []LinkLoad {
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
+	}
+	// Name only the reported links: resolving a name scans the wiring.
+	for i := range out {
+		out[i].Name = lt.LinkName(out[i].Link)
 	}
 	return out
 }

@@ -65,7 +65,7 @@ func TestLinkTelemetryCrossbar(t *testing.T) {
 	if got := f.EnableLinkTelemetry(); got != lt {
 		t.Fatalf("EnableLinkTelemetry not idempotent")
 	}
-	// Same shape as TestStartObserver: 6400 B at 64 B/cycle is tx=100. The
+	// Same shape as TestTopologyCrossbar: 6400 B at 64 B/cycle is tx=100. The
 	// first transfer runs 0→300; the second queues 100 cycles behind it and
 	// runs 100→400.
 	f.Send(0, 1, 6400, ClassComposition, nil)

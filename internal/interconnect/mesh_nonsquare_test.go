@@ -8,21 +8,21 @@ import (
 
 // These tests pin mesh2D behaviour on non-square GPU counts, where cols ≠
 // rows and (for n=48) the last row is partial. Square grids exercise none of
-// the corner cases: the ⌈√n⌉ column fit, the (rows-1)+(cols-1) diameter with
-// rows < cols, and the Y-first fallback when the X-first corner falls off
-// the grid.
+// the corner cases: the ⌈√n⌉ column fit, the (rows-1)+(cols-1) longest route
+// with rows < cols, and the Y-first fallback when the X-first corner falls
+// off the grid.
 
-// TestMeshNonSquareShape pins the grid fit and link-space size for GPU
-// counts that don't square: 6 → 3×2, 12 → 4×3, 48 → 7×7 with the last row
-// holding only 42..47 (the (6,6) corner, id 48, does not exist).
+// TestMeshNonSquareShape pins the grid fit, link-space size and longest
+// route for GPU counts that don't square: 6 → 3×2, 12 → 4×3, 48 → 7×7 with
+// the last row holding only 42..47 (the (6,6) corner, id 48, does not exist).
 func TestMeshNonSquareShape(t *testing.T) {
 	for _, tc := range []struct {
-		n, cols, rows, diameter, links int
+		n, cols, rows, longest, links int
 	}{
 		{6, 3, 2, 3, 24},
 		{12, 4, 3, 5, 48},
-		// Diameter is the formula bound; the partial grid's realized maximum
-		// is 11 hops (0→47) because the (6,6) corner is missing.
+		// The missing (6,6) corner does not shorten the longest route: 6→42,
+		// (0,6)→(6,0), still spans (rows-1)+(cols-1) = 12 hops.
 		{48, 7, 7, 12, 192},
 	} {
 		topo, err := NewTopology(TopoMesh2D, tc.n)
@@ -33,8 +33,16 @@ func TestMeshNonSquareShape(t *testing.T) {
 		if m.cols != tc.cols || m.rows != tc.rows {
 			t.Errorf("n=%d: grid %d×%d, want %d×%d", tc.n, m.cols, m.rows, tc.cols, tc.rows)
 		}
-		if topo.Diameter() != tc.diameter {
-			t.Errorf("n=%d: diameter %d, want %d", tc.n, topo.Diameter(), tc.diameter)
+		longest := 0
+		for src := 0; src < tc.n; src++ {
+			for dst := 0; dst < tc.n; dst++ {
+				if src != dst {
+					longest = max(longest, len(topo.Route(src, dst, nil)))
+				}
+			}
+		}
+		if longest != tc.longest {
+			t.Errorf("n=%d: longest route %d hops, want %d", tc.n, longest, tc.longest)
 		}
 		if topo.NumLinks() != tc.links {
 			t.Errorf("n=%d: %d links, want %d", tc.n, topo.NumLinks(), tc.links)
@@ -43,8 +51,8 @@ func TestMeshNonSquareShape(t *testing.T) {
 }
 
 // TestMeshNonSquareHopTable pins the full Manhattan-distance table on the
-// 3×2 grid and spot-checks the larger counts, including the longest realized
-// path on the partial 48-GPU grid.
+// 3×2 grid and spot-checks the larger counts, including routes into and out
+// of the partial last row of the 48-GPU grid.
 func TestMeshNonSquareHopTable(t *testing.T) {
 	topo6, err := NewTopology(TopoMesh2D, 6)
 	if err != nil {
@@ -61,8 +69,11 @@ func TestMeshNonSquareHopTable(t *testing.T) {
 	}
 	for src := 0; src < 6; src++ {
 		for dst := 0; dst < 6; dst++ {
-			if got := topo6.Hops(src, dst); got != want[src][dst] {
-				t.Errorf("n=6 Hops(%d,%d) = %d, want %d", src, dst, got, want[src][dst])
+			if src == dst {
+				continue
+			}
+			if got := len(topo6.Route(src, dst, nil)); got != want[src][dst] {
+				t.Errorf("n=6 route %d→%d has %d hops, want %d", src, dst, got, want[src][dst])
 			}
 		}
 	}
@@ -71,19 +82,19 @@ func TestMeshNonSquareHopTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo12.Hops(8, 3); got != 5 { // (2,0)→(0,3): the 4×3 diameter
-		t.Errorf("n=12 Hops(8,3) = %d, want 5", got)
+	if got := len(topo12.Route(8, 3, nil)); got != 5 { // (2,0)→(0,3): the 4×3 longest route
+		t.Errorf("n=12 route 8→3 has %d hops, want 5", got)
 	}
 
 	topo48, err := NewTopology(TopoMesh2D, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo48.Hops(0, 47); got != 11 { // (0,0)→(6,5): longest realized
-		t.Errorf("n=48 Hops(0,47) = %d, want 11", got)
+	if got := len(topo48.Route(0, 47, nil)); got != 11 { // (0,0)→(6,5): the partial row's far end
+		t.Errorf("n=48 route 0→47 has %d hops, want 11", got)
 	}
-	if got := topo48.Hops(44, 6); got != 10 { // (6,2)→(0,6)
-		t.Errorf("n=48 Hops(44,6) = %d, want 10", got)
+	if got := len(topo48.Route(44, 6, nil)); got != 10 { // (6,2)→(0,6)
+		t.Errorf("n=48 route 44→6 has %d hops, want 10", got)
 	}
 }
 

@@ -70,6 +70,26 @@ func TestRetryRecoversDroppedTransfer(t *testing.T) {
 	}
 }
 
+// TestRetryAttributedToCrossbarLink pins per-link retry attribution on the
+// crossbar: the retransmission of a dropped 0→1 transfer is charged to the
+// pair's own link 0·n+1 and to no other link.
+func TestRetryAttributedToCrossbarLink(t *testing.T) {
+	eng := sim.New()
+	f, _ := retryFabric(t, eng, Fault{Kind: FaultDrop})
+	f.Send(0, 1, 6400, ClassComposition, nil)
+	eng.Run()
+	const n = 2
+	for l := 0; l < n*n; l++ {
+		want := int64(0)
+		if l == 0*n+1 {
+			want = 1
+		}
+		if got := f.LinkRetryCount(l); got != want {
+			t.Errorf("LinkRetryCount(%d) = %d, want %d", l, got, want)
+		}
+	}
+}
+
 func TestRetryRecoversCorruptedTransfer(t *testing.T) {
 	eng := sim.New()
 	f, _ := retryFabric(t, eng, Fault{Kind: FaultCorrupt})

@@ -1,28 +1,27 @@
-// Topology extracts the fabric's wiring from its port model. The legacy
-// fabric is a full crossbar (NVSwitch-style): every GPU pair is connected
-// point-to-point, so a transfer's only resources are the source egress port
-// and the destination ingress port. Scale-out systems are not crossbars —
-// ring (NVLink bridges) and 2D-mesh fabrics route a bulk transfer over a
-// path of shared link channels, each with its own finite bandwidth, so
-// transfers crossing the same link contend even when their endpoints are
-// disjoint.
+// Topology extracts the fabric's wiring from its port model. The paper's
+// fabric is a full crossbar (NVSwitch-style): one directed link per ordered
+// GPU pair, so every route is one hop and only the source's egress port ever
+// feeds a link. Scale-out systems are not crossbars — ring (NVLink bridges)
+// and 2D-mesh fabrics route a bulk transfer over a path of shared link
+// channels, each with its own finite bandwidth, so transfers crossing the
+// same link contend even when their endpoints are disjoint.
 //
 // A Topology enumerates directed links and routes each (src, dst) pair over
 // them deterministically. The fabric claims the routed path hop by hop: a
 // transfer waits for each link's previous occupant to drain, holds the link
-// for its own transmission time, and pays the link latency per hop. The
-// crossbar keeps a nil Topology and the exact legacy timing path.
+// for its own transmission time, and pays the link latency per hop. On the
+// crossbar that reduces to the point-to-point formula tx + LatencyCycles.
 package interconnect
 
 import "fmt"
 
-// TopologyKind selects the fabric wiring. The zero value is the legacy
-// crossbar, so existing configurations are unchanged.
+// TopologyKind selects the fabric wiring. The zero value is the crossbar,
+// the paper's point-to-point fabric.
 type TopologyKind uint8
 
 const (
-	// TopoCrossbar is the legacy full crossbar: every pair directly
-	// connected, no shared links, bit-for-bit the original timing model.
+	// TopoCrossbar is the full crossbar: one directed link per ordered pair,
+	// one-hop routes, no shared links.
 	TopoCrossbar TopologyKind = iota
 	// TopoRing connects GPU i to (i±1) mod n with one directed link per
 	// direction; transfers take the shorter way around.
@@ -71,11 +70,6 @@ type Topology interface {
 	// NumLinks is the number of directed link channels (route entries are
 	// indices in [0, NumLinks)).
 	NumLinks() int
-	// Diameter is the maximum hop count between any pair, the longest
-	// route the fabric can be asked to build.
-	Diameter() int
-	// Hops returns the length of the src→dst route.
-	Hops(src, dst int) int
 	// Route appends the directed link IDs of the src→dst path to buf and
 	// returns it. src != dst; callers reuse buf to keep the hot path
 	// allocation-free.
@@ -90,16 +84,14 @@ type Topology interface {
 	Neighbors(src int, buf []int) []int
 }
 
-// NewTopology builds the routed topology for kind over n GPUs.
-// TopoCrossbar returns (nil, nil): the crossbar has no shared links and the
-// fabric keeps its legacy path.
+// NewTopology builds the topology for kind over n GPUs.
 func NewTopology(kind TopologyKind, n int) (Topology, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("interconnect: invalid GPU count %d for topology %s", n, kind)
 	}
 	switch kind {
 	case TopoCrossbar:
-		return nil, nil
+		return &crossbar{n: n}, nil
 	case TopoRing:
 		return &ring{n: n}, nil
 	case TopoMesh2D:
@@ -109,6 +101,27 @@ func NewTopology(kind TopologyKind, n int) (Topology, error) {
 	}
 }
 
+// crossbar connects every ordered pair with its own directed link, id
+// src·n + dst. Crossbar GPUs do not relay traffic, so Neighbors is empty: a
+// downed pair has no detour.
+type crossbar struct{ n int }
+
+func (c *crossbar) Kind() TopologyKind { return TopoCrossbar }
+func (c *crossbar) NumLinks() int      { return c.n * c.n }
+
+func (c *crossbar) Route(src, dst int, buf []int) []int {
+	return append(buf, src*c.n+dst)
+}
+
+func (c *crossbar) LinkBetween(src, dst int) int {
+	if src < 0 || dst < 0 || src >= c.n || dst >= c.n || src == dst {
+		return -1
+	}
+	return src*c.n + dst
+}
+
+func (c *crossbar) Neighbors(src int, buf []int) []int { return buf }
+
 // ring is a bidirectional ring: link i carries i→(i+1)%n (clockwise), link
 // n+i carries i→(i−1+n)%n (counter-clockwise). Routes take the shorter
 // direction; ties (even n, antipodal pair) break clockwise.
@@ -116,12 +129,6 @@ type ring struct{ n int }
 
 func (r *ring) Kind() TopologyKind { return TopoRing }
 func (r *ring) NumLinks() int      { return 2 * r.n }
-func (r *ring) Diameter() int      { return r.n / 2 }
-
-func (r *ring) Hops(src, dst int) int {
-	d := (dst - src + r.n) % r.n
-	return min(d, r.n-d)
-}
 
 func (r *ring) Route(src, dst int, buf []int) []int {
 	d := (dst - src + r.n) % r.n
@@ -177,13 +184,6 @@ func newMesh2D(n int) *mesh2D {
 
 func (m *mesh2D) Kind() TopologyKind { return TopoMesh2D }
 func (m *mesh2D) NumLinks() int      { return 4 * m.n }
-func (m *mesh2D) Diameter() int      { return (m.rows - 1) + (m.cols - 1) }
-
-func (m *mesh2D) Hops(src, dst int) int {
-	sr, sc := src/m.cols, src%m.cols
-	dr, dc := dst/m.cols, dst%m.cols
-	return abs(sr-dr) + abs(sc-dc)
-}
 
 func (m *mesh2D) Route(src, dst int, buf []int) []int {
 	sr, sc := src/m.cols, src%m.cols
@@ -259,11 +259,4 @@ func (m *mesh2D) Neighbors(src int, buf []int) []int {
 		buf = append(buf, src-m.cols)
 	}
 	return buf
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -11,6 +11,8 @@ import (
 func linkEndpoints(t *testing.T, topo Topology, n, link int) (int, int) {
 	t.Helper()
 	switch topo.Kind() {
+	case TopoCrossbar:
+		return link / n, link % n
 	case TopoRing:
 		if link < n {
 			return link, (link + 1) % n
@@ -37,12 +39,35 @@ func linkEndpoints(t *testing.T, topo Topology, n, link int) (int, int) {
 	return 0, 0
 }
 
+// wantHops is the src→dst distance each wiring's routing must realize: one
+// hop on the crossbar, the shorter way round a ring, and the Manhattan
+// distance on a mesh (dimension-order routing is minimal even when the last
+// row is partial).
+func wantHops(t *testing.T, topo Topology, src, dst int) int {
+	t.Helper()
+	switch topo.Kind() {
+	case TopoCrossbar:
+		return 1
+	case TopoRing:
+		n := topo.(*ring).n
+		d := (dst - src + n) % n
+		return min(d, n-d)
+	case TopoMesh2D:
+		m := topo.(*mesh2D)
+		dr, dc := src/m.cols-dst/m.cols, src%m.cols-dst%m.cols
+		return max(dr, -dr) + max(dc, -dc)
+	}
+	t.Fatalf("unexpected topology kind %v", topo.Kind())
+	return 0
+}
+
 // TestTopologyRoutes checks, for every pair at a spread of GPU counts
 // (including partial mesh rows and the full 64-GPU scale), that routes are
-// valid link chains from src to dst, lengths match Hops, link IDs are in
-// range, and hop counts never exceed the diameter.
+// valid link chains from src to dst with link IDs in range, that each route
+// has the wiring's shortest length, and that LinkBetween names every first
+// hop.
 func TestTopologyRoutes(t *testing.T) {
-	for _, kind := range []TopologyKind{TopoRing, TopoMesh2D} {
+	for _, kind := range []TopologyKind{TopoCrossbar, TopoRing, TopoMesh2D} {
 		for _, n := range []int{2, 3, 5, 7, 8, 9, 12, 16, 33, 48, 64} {
 			topo, err := NewTopology(kind, n)
 			if err != nil {
@@ -54,13 +79,13 @@ func TestTopologyRoutes(t *testing.T) {
 						continue
 					}
 					route := topo.Route(src, dst, nil)
-					if len(route) != topo.Hops(src, dst) {
-						t.Fatalf("%v n=%d %d→%d: len(route)=%d, Hops=%d",
-							kind, n, src, dst, len(route), topo.Hops(src, dst))
+					if want := wantHops(t, topo, src, dst); len(route) != want {
+						t.Fatalf("%v n=%d %d→%d: %d hops, want %d",
+							kind, n, src, dst, len(route), want)
 					}
-					if len(route) > topo.Diameter() {
-						t.Fatalf("%v n=%d %d→%d: %d hops exceeds diameter %d",
-							kind, n, src, dst, len(route), topo.Diameter())
+					if len(route) > n-1 {
+						t.Fatalf("%v n=%d %d→%d: %d hops exceeds the route buffer's %d",
+							kind, n, src, dst, len(route), n-1)
 					}
 					at := src
 					for _, l := range route {
@@ -88,18 +113,57 @@ func TestTopologyRoutes(t *testing.T) {
 	}
 }
 
-// TestTopologyCrossbarIsNil pins the default contract: the crossbar has no
-// routed topology — New returns a nil Topology so the fabric keeps its
-// legacy nil-check-only timing path — and diameter 1.
-func TestTopologyCrossbarIsNil(t *testing.T) {
-	topo, err := NewTopology(TopoCrossbar, 8)
-	if err != nil || topo != nil {
-		t.Fatalf("NewTopology(crossbar) = (%v, %v), want (nil, nil)", topo, err)
+// TestTopologyCrossbar pins the crossbar wiring and its timing: every
+// ordered pair is its own one-hop link src·n+dst, self pairs name no link,
+// a transfer takes tx + LatencyCycles, and a second transfer from the same
+// source waits only for the egress port, never for its (private) link.
+func TestTopologyCrossbar(t *testing.T) {
+	const n = 8
+	topo, err := NewTopology(TopoCrossbar, n)
+	if err != nil || topo == nil {
+		t.Fatalf("NewTopology(crossbar) = (%v, %v), want a topology", topo, err)
 	}
+	if topo.Kind() != TopoCrossbar || topo.NumLinks() != n*n {
+		t.Fatalf("crossbar kind %v with %d links, want %v with %d", topo.Kind(), topo.NumLinks(), TopoCrossbar, n*n)
+	}
+	for s := 0; s < n; s++ {
+		if got := topo.LinkBetween(s, s); got != -1 {
+			t.Errorf("LinkBetween(%d, %d) = %d, want -1", s, s, got)
+		}
+		if nb := topo.Neighbors(s, nil); len(nb) != 0 {
+			t.Errorf("Neighbors(%d) = %v, want none (crossbar GPUs relay nothing)", s, nb)
+		}
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			route := topo.Route(s, d, nil)
+			if len(route) != 1 || route[0] != s*n+d {
+				t.Errorf("Route(%d, %d) = %v, want [%d]", s, d, route, s*n+d)
+			}
+			if got := topo.LinkBetween(s, d); got != s*n+d {
+				t.Errorf("LinkBetween(%d, %d) = %d, want %d", s, d, got, s*n+d)
+			}
+		}
+	}
+	if got := topo.LinkBetween(0, n); got != -1 {
+		t.Errorf("LinkBetween(0, %d) = %d, want -1", n, got)
+	}
+
 	eng := sim.New()
-	f := newFabric(t, eng, 8, DefaultConfig())
-	if f.Topology() != nil {
-		t.Fatalf("default fabric: topology %v, want nil", f.Topology())
+	f := newFabric(t, eng, 3, Config{BytesPerCycle: 64, LatencyCycles: 200})
+	if f.Topology() == nil || f.Topology().Kind() != TopoCrossbar {
+		t.Fatalf("default fabric topology = %v, want the crossbar", f.Topology())
+	}
+	var first, second sim.Cycle
+	f.Send(0, 1, 6400, ClassComposition, func() { first = eng.Now() })  // tx 100: starts at 0
+	f.Send(0, 2, 6400, ClassComposition, func() { second = eng.Now() }) // queued behind it
+	eng.Run()
+	if first != 300 {
+		t.Errorf("one-hop delivery at %d, want 300 (tx 100 + latency 200)", first)
+	}
+	if second != 400 {
+		t.Errorf("second transfer from GPU 0 delivered at %d, want 400 (egress port frees at 100)", second)
 	}
 }
 

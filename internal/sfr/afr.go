@@ -97,7 +97,6 @@ func RunAFR(sys *multigpu.System, frames []*primitive.Frame) (*SequenceStats, er
 	if len(frames) == 0 {
 		return st, nil
 	}
-	ex := exec.NewSequence(sys)
 	eng := sys.Eng
 	n := sys.Cfg.NumGPUs
 	driver := sim.Cycle(sys.Cfg.DriverCyclesPerDraw)
@@ -143,11 +142,14 @@ func RunAFR(sys *multigpu.System, frames []*primitive.Frame) (*SequenceStats, er
 		bar.Add(len(fr.Draws))
 		bar.Seal()
 		gp.Target(0).Clear(colorspace.Transparent, framebuffer.ClearDepth)
-		ex.IssueDraws(0, len(fr.Draws), func(i int) {
-			gp.SubmitDraw(fr.Draws[i], fr.View, fr.Proj, gpu.DrawOpts{
-				OnDone: func(*raster.DrawResult) { bar.Done() },
+		// Draws issue back-to-back at the driver rate.
+		for i := range fr.Draws {
+			eng.After(sim.Cycle(i)*driver, func() {
+				gp.SubmitDraw(fr.Draws[i], fr.View, fr.Proj, gpu.DrawOpts{
+					OnDone: func(*raster.DrawResult) { bar.Done() },
+				})
 			})
-		})
+		}
 	}
 
 	sys.OnGPUFail(func(g int) {
