@@ -352,15 +352,17 @@ func (g *GPU) BusyUntil() sim.Cycle {
 }
 
 // PreparedDraw is the functional half of a draw submission: the draw's
-// timing inputs, its rasterization result, and the submission options,
-// ready to be committed to the timing pipeline. The backing allocation
-// doubles as the completion-event carrier, so a prepare+commit pair
-// allocates exactly as much as SubmitDraw does.
+// timing inputs, the selection of its triangles this GPU renders, its
+// rasterization result, and the submission options (the callbacks live in
+// ev), ready to be committed to the timing pipeline. The backing
+// allocation doubles as the completion-event carrier, so a prepare+commit
+// pair allocates exactly as much as SubmitDraw does.
 type PreparedDraw struct {
-	id                    int
-	vertexCost, pixelCost float64
-	opts                  DrawOpts
-	ev                    drawEvent
+	id                     int
+	vertexCost, pixelCost  float64
+	sel                    raster.Selection
+	geomFree, recordTiming bool
+	ev                     drawEvent
 }
 
 // PrepareDraw sets d up in a pooled raster.Setup and prepares every chunk
@@ -368,7 +370,7 @@ type PreparedDraw struct {
 func (g *GPU) PrepareDraw(d primitive.DrawCommand, view, proj vecmath.Mat4, opts DrawOpts) *PreparedDraw {
 	s := raster.GetSetup()
 	s.Build(&d, view, proj, g.width, g.height)
-	p := g.PrepareSetup(s, opts)
+	p := g.PrepareSetup(s, raster.Selection{}, opts)
 	for s.Next() {
 		g.RasterChunk(p, s)
 	}
@@ -377,45 +379,50 @@ func (g *GPU) PrepareDraw(d primitive.DrawCommand, view, proj vecmath.Mat4, opts
 }
 
 // PrepareSetup starts the prepared submission of a set-up draw: it switches
-// to the draw's render target and rasterizes the setup's current chunk
-// against this GPU's framebuffer/depth state and ownership mask. Each
-// further chunk of the draw goes through RasterChunk before this GPU
-// prepares anything else. s must be built for the GPU's screen; it is only
-// read, so every GPU that receives a broadcast draw shares one setup.
+// to the draw's render target and rasterizes the triangles of the setup's
+// current chunk that sel picks (the zero Selection: all of them) against
+// this GPU's framebuffer/depth state and ownership mask. Each further chunk
+// of the draw goes through RasterChunk before this GPU prepares anything
+// else. s must be built for the GPU's screen and for sel; it is only read,
+// so every GPU that receives a broadcast draw, or its own selection of one
+// piece of a draw, shares one setup. The prepared draw is charged the
+// geometry work of the selected triangles only, exactly as a submission of
+// a draw holding just those triangles.
+//
 // Prepares on the same GPU must stay in submission order (rasterization
 // order is semantically meaningful). Prepares on *distinct* GPUs write
 // disjoint state — renderer, render targets, the prepared result — so a
 // caller may prepare a draw on several GPUs, chunk by chunk, and then
 // commit in the original order. That split is how
-// multigpu.System.BroadcastDraw sets a draw up once for every GPU it goes
-// to without perturbing event order.
-func (g *GPU) PrepareSetup(s *raster.Setup, opts DrawOpts) *PreparedDraw {
+// multigpu.System.PrepareBroadcast sets a draw up once for every GPU it
+// goes to without perturbing event order.
+func (g *GPU) PrepareSetup(s *raster.Setup, sel raster.Selection, opts DrawOpts) *PreparedDraw {
 	d := s.Draw()
 	// Targets are all built to the GPU's own dimensions, so the switch
 	// cannot fail.
 	_ = g.rend.SetTarget(g.Target(d.State.RenderTarget))
-	p := &PreparedDraw{id: d.ID, vertexCost: d.VertexCost, pixelCost: d.PixelCost, opts: opts}
+	p := &PreparedDraw{id: d.ID, vertexCost: d.VertexCost, pixelCost: d.PixelCost, sel: sel,
+		geomFree: opts.GeomFree, recordTiming: opts.RecordTiming}
 	p.ev.onGeom = opts.OnGeomDone
 	p.ev.onDone = opts.OnDone
-	g.rend.Raster(s, &p.ev.res)
+	g.rend.Raster(s, sel, &p.ev.res)
 	return p
 }
 
 // RasterChunk rasterizes the setup's current chunk into p, the submission
-// PrepareSetup started for the same draw on this GPU.
-func (g *GPU) RasterChunk(p *PreparedDraw, s *raster.Setup) { g.rend.Raster(s, &p.ev.res) }
+// PrepareSetup started for the same draw on this GPU, under p's selection.
+func (g *GPU) RasterChunk(p *PreparedDraw, s *raster.Setup) { g.rend.Raster(s, p.sel, &p.ev.res) }
 
 // CommitDraw charges a prepared draw to the timing pipeline and schedules
 // its completion callbacks: the ordered half of a submission. Commits must
 // happen in global submission order.
 func (g *GPU) CommitDraw(p *PreparedDraw) *raster.DrawResult {
-	opts := p.opts
 	res := &p.ev.res
 	g.stats.Raster.Add(*res)
 	g.stats.DrawsExecuted++
 
 	geomCycles := sim.Cycle(g.costs.GeomCycles(res.VerticesShaded, res.TrianglesIn, p.vertexCost))
-	if opts.GeomFree {
+	if p.geomFree {
 		geomCycles = sim.Cycle(g.costs.DrawOverheadGeom)
 	}
 	fragCycles := sim.Cycle(g.costs.FragCycles(res, p.pixelCost))
@@ -446,7 +453,7 @@ func (g *GPU) CommitDraw(p *PreparedDraw) *raster.DrawResult {
 	})
 	g.trisDone += res.TrianglesIn
 
-	if opts.RecordTiming {
+	if p.recordTiming {
 		g.stats.PerDraw = append(g.stats.PerDraw, DrawTiming{
 			DrawID:     p.id,
 			Triangles:  res.TrianglesIn,
@@ -477,10 +484,10 @@ func (g *GPU) CommitDraw(p *PreparedDraw) *raster.DrawResult {
 	}
 
 	ev := &p.ev
-	if opts.OnGeomDone != nil {
+	if ev.onGeom != nil {
 		g.eng.AtCall(geomEnd, (*geomFire)(ev))
 	}
-	if opts.OnDone != nil {
+	if ev.onDone != nil {
 		g.eng.AtCall(fragEnd, (*doneFire)(ev))
 	}
 	return &ev.res

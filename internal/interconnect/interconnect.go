@@ -457,7 +457,7 @@ type Fabric struct {
 	lt *LinkTelemetry
 
 	err      error // first unrecoverable fault (lost transfer, self-send)
-	errCount int
+	errCount int   // unrecoverable faults recorded
 
 	stats Stats
 }
@@ -500,9 +500,6 @@ func New(eng *sim.Engine, n int, cfg Config) (*Fabric, error) {
 	}
 	return f, nil
 }
-
-// Topology returns the fabric wiring, or nil on an Ideal fabric.
-func (f *Fabric) Topology() Topology { return f.topo }
 
 // claimRoute reserves the routed src→dst path for a transfer whose
 // transmission time is tx, starting no earlier than start. The transfer's
@@ -666,15 +663,6 @@ func (f *Fabric) LinkRetryCount(l int) int64 {
 	return f.linkRetries[l]
 }
 
-// LinkBusyUntil returns when directed link l's current occupant drains —
-// diagnostic visibility into per-hop link claims.
-func (f *Fabric) LinkBusyUntil(l int) sim.Cycle {
-	if l < 0 || l >= len(f.linkFree) {
-		return 0
-	}
-	return f.linkFree[l]
-}
-
 // fail records the fabric's first unrecoverable fault. The fabric keeps
 // operating (degraded) so the frame can drain; schemes surface Err at frame
 // end.
@@ -688,9 +676,6 @@ func (f *Fabric) fail(err error) {
 // Err returns the first unrecoverable fault recorded during the run (a lost
 // transfer or a self-send), or nil.
 func (f *Fabric) Err() error { return f.err }
-
-// ErrCount returns the number of unrecoverable faults recorded.
-func (f *Fabric) ErrCount() int { return f.errCount }
 
 // newDelivery takes a delivery event off the free list (or allocates the
 // first few) and arms it with m.

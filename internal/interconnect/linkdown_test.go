@@ -38,11 +38,11 @@ func TestDownLinkRingReversal(t *testing.T) {
 	// The counter-clockwise links (n+at for at = 0, 3, 2) were claimed; the
 	// downed clockwise link stayed idle.
 	for _, l := range []int{4 + 0, 4 + 3, 4 + 2} {
-		if f.LinkBusyUntil(l) == 0 {
+		if f.linkFree[l] == 0 {
 			t.Errorf("detour link %d never claimed", l)
 		}
 	}
-	if f.LinkBusyUntil(0) != 0 {
+	if f.linkFree[0] != 0 {
 		t.Error("downed link 0 was claimed")
 	}
 }
@@ -163,7 +163,7 @@ func TestRetryReclaimsRoutedLinks(t *testing.T) {
 	f.SetInjector(inj)
 
 	src, dst := 0, 5 // route 0→1→(+y)→5: 3 hops
-	route := f.Topology().Route(src, dst, nil)
+	route := f.topo.Route(src, dst, nil)
 	if len(route) != 3 {
 		t.Fatalf("expected a 3-hop route, got %v", route)
 	}
@@ -182,15 +182,15 @@ func TestRetryReclaimsRoutedLinks(t *testing.T) {
 	// strictly later, so every route link's busy-until exceeds the first
 	// attempt's horizon.
 	for _, l := range route {
-		if f.LinkBusyUntil(l) <= 500 {
-			t.Errorf("link %d busy-until %d: retransmission did not re-claim it", l, f.LinkBusyUntil(l))
+		if f.linkFree[l] <= 500 {
+			t.Errorf("link %d busy-until %d: retransmission did not re-claim it", l, f.linkFree[l])
 		}
 		if got := f.LinkRetryCount(l); got != 1 {
 			t.Errorf("link %d retry count = %d, want 1", l, got)
 		}
 	}
 	// Links off the route carry no retry attribution.
-	for l := 0; l < f.Topology().NumLinks(); l++ {
+	for l := 0; l < f.topo.NumLinks(); l++ {
 		onRoute := false
 		for _, rl := range route {
 			if rl == l {

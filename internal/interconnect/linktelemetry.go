@@ -26,8 +26,8 @@ type LinkTelemetry struct {
 	busy      []sim.Cycle // cycles the link was occupied by a transmission
 	bytes     []int64     // payload bytes carried
 	transfers []int64     // transmissions carried (retransmissions included)
-	queued    []sim.Cycle // cycles transfers spent waiting for this link
-	reroutes  []int64     // detours forced by this (downed) link
+	queued    []sim.Cycle // cycles waiting for this link: egress queue, then head-of-line per hop
+	reroutes  []int64     // detours forced by this (downed) link; always 0 on the crossbar
 
 	latency hist.H // per-transmission end-to-end latency: queue → last byte drained
 	hops    hist.H // per-transmission route length (always 1 on the crossbar)
@@ -78,24 +78,6 @@ func (lt *LinkTelemetry) recordTransmission(bytes int64, route []int, tx, wait s
 // NumLinks returns the size of the link id space.
 func (lt *LinkTelemetry) NumLinks() int { return len(lt.busy) }
 
-// BusyCycles returns the cycles directed link l was occupied.
-func (lt *LinkTelemetry) BusyCycles(l int) sim.Cycle { return lt.busy[l] }
-
-// BytesOn returns the payload bytes carried over directed link l.
-func (lt *LinkTelemetry) BytesOn(l int) int64 { return lt.bytes[l] }
-
-// Transfers returns the transmissions carried over directed link l.
-func (lt *LinkTelemetry) Transfers(l int) int64 { return lt.transfers[l] }
-
-// QueuedCycles returns the cycles transfers spent waiting for directed link
-// l: egress-queue wait for the first hop plus per-hop head-of-line wait on
-// routed paths.
-func (lt *LinkTelemetry) QueuedCycles(l int) sim.Cycle { return lt.queued[l] }
-
-// Reroutes returns how many transfers detoured because directed link l was
-// down. Always 0 on the crossbar (its pairs have no detour).
-func (lt *LinkTelemetry) Reroutes(l int) int64 { return lt.reroutes[l] }
-
 // Retries returns the retransmissions whose route crossed directed link l.
 func (lt *LinkTelemetry) Retries(l int) int64 { return lt.f.LinkRetryCount(l) }
 
@@ -106,9 +88,6 @@ func (lt *LinkTelemetry) Latency() *hist.H { return &lt.latency }
 // Hops returns the per-transmission route-length histogram (every
 // transmission records 1 on the crossbar).
 func (lt *LinkTelemetry) Hops() *hist.H { return &lt.hops }
-
-// MeanHops returns the mean route length over all transmissions.
-func (lt *LinkTelemetry) MeanHops() float64 { return lt.hops.Mean() }
 
 // MaxBusy returns the busiest link and its busy cycles (lowest id wins
 // ties; -1 when no link carried traffic).

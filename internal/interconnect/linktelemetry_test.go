@@ -73,15 +73,15 @@ func TestLinkTelemetryCrossbar(t *testing.T) {
 	eng.Run()
 
 	l01, l02 := 0*3+1, 0*3+2
-	if lt.BusyCycles(l01) != 100 || lt.BusyCycles(l02) != 100 {
-		t.Errorf("busy = %d/%d, want 100/100", lt.BusyCycles(l01), lt.BusyCycles(l02))
+	if lt.busy[l01] != 100 || lt.busy[l02] != 100 {
+		t.Errorf("busy = %d/%d, want 100/100", lt.busy[l01], lt.busy[l02])
 	}
-	if lt.BytesOn(l01) != 6400 || lt.Transfers(l01) != 1 {
-		t.Errorf("link 0->1 carried %dB/%d transfers, want 6400/1", lt.BytesOn(l01), lt.Transfers(l01))
+	if lt.bytes[l01] != 6400 || lt.transfers[l01] != 1 {
+		t.Errorf("link 0->1 carried %dB/%d transfers, want 6400/1", lt.bytes[l01], lt.transfers[l01])
 	}
-	if lt.QueuedCycles(l01) != 0 || lt.QueuedCycles(l02) != 100 {
+	if lt.queued[l01] != 0 || lt.queued[l02] != 100 {
 		t.Errorf("queued = %d/%d, want 0/100 (second transfer waits out the egress port)",
-			lt.QueuedCycles(l01), lt.QueuedCycles(l02))
+			lt.queued[l01], lt.queued[l02])
 	}
 	// End-to-end latencies measure from Send: 300−0 for the first transfer
 	// and 400−0 for the one that waited out the egress port.
@@ -114,9 +114,9 @@ func TestLinkTelemetryRing(t *testing.T) {
 	f.Send(0, 2, 6400, ClassComposition, nil)
 	eng.Run()
 	for _, l := range []int{0, 1} {
-		if lt.BusyCycles(l) != 100 || lt.BytesOn(l) != 6400 || lt.Transfers(l) != 1 {
+		if lt.busy[l] != 100 || lt.bytes[l] != 6400 || lt.transfers[l] != 1 {
 			t.Errorf("link %d: busy=%d bytes=%d transfers=%d, want 100/6400/1",
-				l, lt.BusyCycles(l), lt.BytesOn(l), lt.Transfers(l))
+				l, lt.busy[l], lt.bytes[l], lt.transfers[l])
 		}
 	}
 	if lt.Hops().Max() != 2 {
@@ -143,11 +143,11 @@ func TestLinkTelemetryRing(t *testing.T) {
 	f2.Send(0, 2, 12800, ClassComposition, nil)
 	f2.Send(7, 1, 6400, ClassComposition, nil)
 	eng2.Run()
-	if lt2.QueuedCycles(0) != 190 {
-		t.Errorf("head-of-line wait on link 0 = %d, want 190", lt2.QueuedCycles(0))
+	if lt2.queued[0] != 190 {
+		t.Errorf("head-of-line wait on link 0 = %d, want 190", lt2.queued[0])
 	}
-	if lt2.MeanHops() != 2 {
-		t.Errorf("mean hops = %g, want 2", lt2.MeanHops())
+	if lt2.hops.Mean() != 2 {
+		t.Errorf("mean hops = %g, want 2", lt2.hops.Mean())
 	}
 }
 
@@ -166,8 +166,8 @@ func TestLinkTelemetryRerouteAttribution(t *testing.T) {
 	if f.RerouteCount() != 1 {
 		t.Fatalf("RerouteCount = %d, want 1", f.RerouteCount())
 	}
-	if lt.Reroutes(0) != 1 {
-		t.Errorf("Reroutes(0) = %d, want 1 (downed link g0->g1 blamed)", lt.Reroutes(0))
+	if lt.reroutes[0] != 1 {
+		t.Errorf("reroutes[0] = %d, want 1 (downed link g0->g1 blamed)", lt.reroutes[0])
 	}
 	// The counter-clockwise detour is 6 hops.
 	if lt.Hops().Max() != 6 {

@@ -161,11 +161,11 @@ func TestMeshNonSquareReroute(t *testing.T) {
 	// BFS visits neighbours in ascending link order, so the detour is exactly
 	// 0→1 (0), 1→4 (6), 4→5 (16), 5→2 (23); the downed 1→2 link stays idle.
 	for _, l := range []int{0, 6, 16, 23} {
-		if f.LinkBusyUntil(l) == 0 {
+		if f.linkFree[l] == 0 {
 			t.Errorf("detour link %d never claimed", l)
 		}
 	}
-	if f.LinkBusyUntil(4) != 0 {
+	if f.linkFree[4] != 0 {
 		t.Error("downed link 1→2 was claimed")
 	}
 	// A pair not crossing the hole keeps its 2-hop default route.

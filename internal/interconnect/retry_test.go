@@ -157,8 +157,8 @@ func TestRetryBudgetExhaustionIsLost(t *testing.T) {
 	if lost.Src != 0 || lost.Dst != 1 || lost.Bytes != 6400 || lost.Attempts != 4 {
 		t.Errorf("lost = %+v", lost)
 	}
-	if f.ErrCount() != 1 {
-		t.Errorf("ErrCount = %d", f.ErrCount())
+	if f.errCount != 1 {
+		t.Errorf("errCount = %d", f.errCount)
 	}
 }
 

@@ -152,8 +152,8 @@ func TestTopologyCrossbar(t *testing.T) {
 
 	eng := sim.New()
 	f := newFabric(t, eng, 3, Config{BytesPerCycle: 64, LatencyCycles: 200})
-	if f.Topology() == nil || f.Topology().Kind() != TopoCrossbar {
-		t.Fatalf("default fabric topology = %v, want the crossbar", f.Topology())
+	if f.topo == nil || f.topo.Kind() != TopoCrossbar {
+		t.Fatalf("default fabric topology = %v, want the crossbar", f.topo)
 	}
 	var first, second sim.Cycle
 	f.Send(0, 1, 6400, ClassComposition, func() { first = eng.Now() })  // tx 100: starts at 0
@@ -273,7 +273,7 @@ func TestParseTopologyKind(t *testing.T) {
 func TestTopologyIdealIgnored(t *testing.T) {
 	eng := sim.New()
 	f := newFabric(t, eng, 8, Config{Ideal: true, Topology: TopoMesh2D})
-	if f.Topology() != nil {
+	if f.topo != nil {
 		t.Fatal("ideal fabric built a routed topology")
 	}
 	var at sim.Cycle = -1

@@ -362,36 +362,68 @@ func New(cfg Config, width, height int) (*System, error) {
 	return s, nil
 }
 
-// DrawReq is one GPU's share of a BroadcastDraw.
+// DrawReq is one GPU's share of a broadcast draw.
 type DrawReq struct {
 	// GPU is the target GPU index.
 	GPU int
+	// Sel picks the triangles the GPU renders; the zero Selection picks
+	// every triangle. Every non-zero Sel of one broadcast shares one Masks
+	// slice.
+	Sel raster.Selection
 	// Opts are the per-submission options.
 	Opts gpu.DrawOpts
 }
 
-// BroadcastDraw submits d to each GPU reqs names, which must be distinct.
-// The draw is set up once, a bounded chunk at a time, and every GPU
-// rasterizes that one read-only setup chunk by chunk, in request order.
-// Then each submission is committed — timing, stats, tracer spans,
-// completion events — in request order, so the result is byte-identical to
-// calling gpu.SubmitDraw for each request in turn.
+// PrepareBroadcast is the functional half of a broadcast: it sets up
+// triangles [lo, hi) of d once, a bounded chunk at a time, skipping those no
+// request selects, and every GPU reqs names (which must be distinct)
+// rasterizes its selection of that one read-only setup chunk by chunk, in
+// request order. It appends the prepared draws to prep in request order and
+// returns it. Committing each with gpu.CommitDraw, in request order, is
+// byte-identical to calling gpu.SubmitDraw for each request in turn with a
+// draw holding just the triangles its Sel picks.
 //
-// This is the path the duplication-style schemes use for their draw
-// broadcasts — the dominant wall-clock cost of a sweep.
-func (s *System) BroadcastDraw(d *primitive.DrawCommand, view, proj vecmath.Mat4, reqs []DrawReq) {
-	st := raster.GetSetup()
-	st.Build(d, view, proj, s.width, s.height)
-	prep := s.prep[:0]
+// Prepares on distinct GPUs touch disjoint state, so a caller may prepare
+// several broadcasts before committing any, and commit them in another
+// order, as long as each GPU's draws are prepared and committed in its own
+// submission order. GPUpd prepares every piece of a primitive batch for all
+// its destination GPUs, then commits destination by destination.
+func (s *System) PrepareBroadcast(prep []*gpu.PreparedDraw, d *primitive.DrawCommand, lo, hi int,
+	view, proj vecmath.Mat4, reqs []DrawReq) []*gpu.PreparedDraw {
+	var union raster.Selection
 	for _, r := range reqs {
-		prep = append(prep, s.GPUs[r.GPU].PrepareSetup(st, r.Opts))
+		if r.Sel.Masks == nil {
+			union = raster.Selection{}
+			break
+		}
+		union.Masks = r.Sel.Masks
+		union.Bit |= r.Sel.Bit
+	}
+	st := raster.GetSetup()
+	st.BuildSelected(d, lo, hi, union, view, proj, s.width, s.height)
+	first := len(prep)
+	for _, r := range reqs {
+		prep = append(prep, s.GPUs[r.GPU].PrepareSetup(st, r.Sel, r.Opts))
 	}
 	for st.Next() {
 		for i, r := range reqs {
-			s.GPUs[r.GPU].RasterChunk(prep[i], st)
+			s.GPUs[r.GPU].RasterChunk(prep[first+i], st)
 		}
 	}
 	raster.PutSetup(st)
+	return prep
+}
+
+// BroadcastDraw submits d to each GPU reqs names: PrepareBroadcast over the
+// whole draw, then each submission is committed — timing, stats, tracer
+// spans, completion events — in request order.
+//
+// Duplication's and CHOPIN's draw broadcasts take this path, and so does
+// sort-middle's per-draw exchange, in which each GPU's request selects its
+// own triangles; GPUpd calls PrepareBroadcast itself. It is the dominant
+// wall-clock cost of a sweep.
+func (s *System) BroadcastDraw(d *primitive.DrawCommand, view, proj vecmath.Mat4, reqs []DrawReq) {
+	prep := s.PrepareBroadcast(s.prep[:0], d, 0, len(d.Tris), view, proj, reqs)
 	for i, r := range reqs {
 		s.GPUs[r.GPU].CommitDraw(prep[i])
 	}

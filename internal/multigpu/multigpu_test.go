@@ -2,6 +2,7 @@ package multigpu
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"chopin/internal/colorspace"
@@ -140,6 +141,26 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// destMasks returns, for every triangle of d, the bitmask of the GPUs owning
+// a tile its projected bounding box overlaps: the destinations sort-first
+// rendering sends it to.
+func destMasks(sys *System, fr *primitive.Frame, d *primitive.DrawCommand) []uint64 {
+	mvp := fr.Proj.Mul(fr.View).Mul(d.Model)
+	masks := make([]uint64, len(d.Tris))
+	for i := range d.Tris {
+		rect, ok := raster.CoveredTiles(&d.Tris[i], &mvp, fr.Width, fr.Height)
+		if !ok {
+			continue
+		}
+		for ty := rect.Y0; ty <= rect.Y1; ty++ {
+			for tx := rect.X0; tx <= rect.X1; tx++ {
+				masks[i] |= 1 << uint(sys.Owner(rect.Tile(tx, ty)))
+			}
+		}
+	}
+	return masks
+}
+
 // TestSharedSetupMatchesPerGPUSetup: broadcasting draws with BroadcastDraw,
 // which sets each draw up once and shares that setup across its GPUs, must
 // equal submitting the draw to each of those GPUs separately with
@@ -147,8 +168,15 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // completion (GPU and cycle, in firing order) and every render target, for
 // every cod2 and wolf draw under each GPU's ownership mask. The larger draws
 // span several setup chunks. Each draw goes to all 8 GPUs, and again to a
-// subset that leaves two GPUs out, as CHOPIN's duplicate groups broadcast to
-// the live GPUs only after a fail-stop.
+// subset that leaves out two GPUs, which fail-stop before the first draw and
+// whose tiles the survivors adopt: CHOPIN's duplicate groups broadcast to the
+// live GPUs only after a fail-stop. With selections, each GPU's request
+// selects the triangles whose covered tiles it owned before the fail-stop,
+// as sort-first and sort-middle rendering do, and must equal submitting to
+// each GPU a copied draw of just those triangles; a GPU with none gets no
+// request. An adopted tile then lies under triangles a survivor was not
+// sent, so only the selection, not the ownership mask, keeps it from
+// rendering them.
 func TestSharedSetupMatchesPerGPUSetup(t *testing.T) {
 	type completion struct {
 		gpu int
@@ -159,7 +187,7 @@ func TestSharedSetupMatchesPerGPUSetup(t *testing.T) {
 		dones   []completion
 		sums    []uint64 // per GPU, per render target
 	}
-	run := func(fr *primitive.Frame, gpus []int, shared bool) outcome {
+	run := func(fr *primitive.Frame, gpus []int, selected, shared bool) outcome {
 		cfg := DefaultConfig()
 		sys := newSys(t, cfg, fr.Width, fr.Height)
 		for g, gp := range sys.GPUs {
@@ -168,26 +196,58 @@ func TestSharedSetupMatchesPerGPUSetup(t *testing.T) {
 			}
 			gp.SetTextures(fr.Textures)
 		}
+		masks := make([][]uint64, len(fr.Draws))
+		if selected {
+			for i := range fr.Draws {
+				masks[i] = destMasks(sys, fr, &fr.Draws[i])
+			}
+		}
+		var failed []int
+		for g := range sys.GPUs {
+			if !slices.Contains(gpus, g) {
+				sys.markFailed(g)
+				failed = append(failed, g)
+			}
+		}
+		sys.ReassignTiles(failed)
 		var out outcome
 		out.results = make([]raster.DrawResult, len(fr.Draws)*cfg.NumGPUs)
-		reqs := make([]DrawReq, len(gpus))
+		var reqs []DrawReq
 		rts := map[int]bool{}
 		for i := range fr.Draws {
 			d := &fr.Draws[i]
 			rts[d.State.RenderTarget] = true
-			for k, g := range gpus {
+			masks := masks[i]
+			reqs = reqs[:0]
+			for _, g := range gpus {
+				sel := raster.Selection{}
+				if selected {
+					sel = raster.Selection{Masks: masks, Bit: 1 << uint(g)}
+					if !slices.ContainsFunc(masks, func(m uint64) bool { return m&sel.Bit != 0 }) {
+						continue
+					}
+				}
 				slot := &out.results[i*cfg.NumGPUs+g]
-				reqs[k] = DrawReq{GPU: g, Opts: gpu.DrawOpts{OnDone: func(res *raster.DrawResult) {
+				reqs = append(reqs, DrawReq{GPU: g, Sel: sel, Opts: gpu.DrawOpts{OnDone: func(res *raster.DrawResult) {
 					*slot = *res
 					out.dones = append(out.dones, completion{g, sys.Eng.Now()})
-				}}}
+				}}})
 			}
 			if shared {
 				sys.BroadcastDraw(d, fr.View, fr.Proj, reqs)
-			} else {
-				for _, r := range reqs {
-					sys.GPUs[r.GPU].SubmitDraw(*d, fr.View, fr.Proj, r.Opts)
+				continue
+			}
+			for _, r := range reqs {
+				sub := *d
+				if selected {
+					sub.Tris = nil
+					for ti := range d.Tris {
+						if masks[ti]&r.Sel.Bit != 0 {
+							sub.Tris = append(sub.Tris, d.Tris[ti])
+						}
+					}
 				}
+				sys.GPUs[r.GPU].SubmitDraw(sub, fr.View, fr.Proj, r.Opts)
 			}
 		}
 		sys.Eng.Run()
@@ -206,28 +266,32 @@ func TestSharedSetupMatchesPerGPUSetup(t *testing.T) {
 			t.Fatal(err)
 		}
 		fr := trace.Generate(b, 0.05)
-		for _, gpus := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 2, 3, 4, 5, 7}} {
-			want := run(fr, gpus, false)
-			frags := 0
-			for k := range want.results {
-				frags += want.results[k].FragsGenerated
-			}
-			if frags == 0 || len(want.dones) != len(fr.Draws)*len(gpus) {
-				t.Fatalf("%s gpus=%v: %d fragments over %d completions; the replay rendered nothing",
-					bench, gpus, frags, len(want.dones))
-			}
-			got := run(fr, gpus, true)
-			for k := range want.results {
-				if got.results[k] != want.results[k] {
-					t.Fatalf("%s gpus=%v: draw %d gpu %d result %+v, per-GPU setup gives %+v",
-						bench, gpus, k/8, k%8, got.results[k], want.results[k])
+		for _, selected := range []bool{false, true} {
+			for _, gpus := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 2, 3, 4, 5, 7}} {
+				want := run(fr, gpus, selected, false)
+				frags := 0
+				for k := range want.results {
+					frags += want.results[k].FragsGenerated
 				}
-			}
-			if !reflect.DeepEqual(got.dones, want.dones) {
-				t.Fatalf("%s gpus=%v: completions differ from per-GPU setup", bench, gpus)
-			}
-			if !reflect.DeepEqual(got.sums, want.sums) {
-				t.Fatalf("%s gpus=%v: target checksums %x, per-GPU setup gives %x", bench, gpus, got.sums, want.sums)
+				if frags == 0 || len(want.dones) < len(fr.Draws) ||
+					!selected && len(want.dones) != len(fr.Draws)*len(gpus) {
+					t.Fatalf("%s gpus=%v selected=%v: %d fragments over %d completions; the replay rendered nothing",
+						bench, gpus, selected, frags, len(want.dones))
+				}
+				got := run(fr, gpus, selected, true)
+				for k := range want.results {
+					if got.results[k] != want.results[k] {
+						t.Fatalf("%s gpus=%v selected=%v: draw %d gpu %d result %+v, per-GPU setup gives %+v",
+							bench, gpus, selected, k/8, k%8, got.results[k], want.results[k])
+					}
+				}
+				if !reflect.DeepEqual(got.dones, want.dones) {
+					t.Fatalf("%s gpus=%v selected=%v: completions differ from per-GPU setup", bench, gpus, selected)
+				}
+				if !reflect.DeepEqual(got.sums, want.sums) {
+					t.Fatalf("%s gpus=%v selected=%v: target checksums %x, per-GPU setup gives %x",
+						bench, gpus, selected, got.sums, want.sums)
+				}
 			}
 		}
 	}

@@ -422,3 +422,73 @@ func TestPerspectiveCorrectDepthOrdering(t *testing.T) {
 		t.Errorf("center pixel = %+v, want green (near quad)", got)
 	}
 }
+
+// TestSelectionCountsMatchCopiedDraw: rasterizing a Selection of a shared
+// setup reports exactly what drawing a copy of just the selected triangles
+// reports, fragments and pixels included. Triangle 0 straddles the near
+// plane and is clipped into two pieces; triangle 1's only piece lies wholly
+// off screen, which still counts as rasterized; triangle 2 is on screen;
+// triangle 3 is selected by no GPU, so the setup skips it.
+func TestSelectionCountsMatchCopiedDraw(t *testing.T) {
+	const w, h = 64, 64
+	view := vecmath.Identity()
+	proj := vecmath.Perspective(math.Pi/2, 1, 1, 100)
+	vert := func(x, y, z float64) primitive.Vertex {
+		return primitive.Vertex{Position: vecmath.Vec3{X: x, Y: y, Z: z}, Color: colorspace.Opaque(1, 0.5, 0)}
+	}
+	d := primitive.DrawCommand{
+		Tris: []primitive.Triangle{
+			{V: [3]primitive.Vertex{vert(-5, -3, -10), vert(5, -3, -10), vert(0, 4, 5)}},
+			{V: [3]primitive.Vertex{vert(100, 0, -10), vert(110, 0, -10), vert(105, 5, -10)}},
+			{V: [3]primitive.Vertex{vert(-4, 0, -8), vert(4, 0, -8), vert(0, 4, -8)}},
+			{V: [3]primitive.Vertex{vert(-4, -4, -6), vert(4, -4, -6), vert(0, 0, -6)}},
+		},
+		Model: vecmath.Identity(),
+		State: primitive.DefaultState(),
+	}
+	masks := []uint64{0b11, 0b01, 0b10, 0}
+	for _, c := range []struct {
+		bit, lo, hi      int
+		wantIn, wantRast int
+		wantNoFrags      bool
+	}{
+		{bit: 0, lo: 0, hi: 4, wantIn: 2, wantRast: 3},
+		{bit: 1, lo: 0, hi: 4, wantIn: 2, wantRast: 3},
+		{bit: 1, lo: 1, hi: 4, wantIn: 1, wantRast: 1},
+		{bit: 0, lo: 1, hi: 3, wantIn: 1, wantRast: 1, wantNoFrags: true},
+	} {
+		sel := Selection{Masks: masks, Bit: 1 << uint(c.bit)}
+		sub := d
+		sub.Tris = nil
+		for ti := c.lo; ti < c.hi; ti++ {
+			if sel.selected(ti) {
+				sub.Tris = append(sub.Tris, d.Tris[ti])
+			}
+		}
+		copied := New(framebuffer.MustNew(w, h), DefaultConfig())
+		want := copied.Draw(sub, view, proj)
+
+		got := DrawResult{}
+		selecting := New(framebuffer.MustNew(w, h), DefaultConfig())
+		s := GetSetup()
+		s.BuildSelected(&d, c.lo, c.hi, Selection{Masks: masks, Bit: 0b11}, view, proj, w, h)
+		for more := true; more; more = s.Next() {
+			selecting.Raster(s, sel, &got)
+		}
+		PutSetup(s)
+
+		if got != want {
+			t.Errorf("bit %d [%d,%d): selection gives %+v, copied draw %+v", c.bit, c.lo, c.hi, got, want)
+		}
+		if want.TrianglesIn != c.wantIn || want.VerticesShaded != 3*c.wantIn || want.TrianglesRasterized != c.wantRast {
+			t.Errorf("bit %d [%d,%d): copied draw counts %+v, want %d in and %d rasterized",
+				c.bit, c.lo, c.hi, want, c.wantIn, c.wantRast)
+		}
+		if (want.FragsGenerated == 0) != c.wantNoFrags {
+			t.Errorf("bit %d [%d,%d): %d fragments", c.bit, c.lo, c.hi, want.FragsGenerated)
+		}
+		if gs, ws := selecting.Target().Checksum(), copied.Target().Checksum(); gs != ws {
+			t.Errorf("bit %d [%d,%d): target checksum %x, copied draw %x", c.bit, c.lo, c.hi, gs, ws)
+		}
+	}
+}

@@ -75,13 +75,14 @@ func makeBatches(draws []primitive.DrawCommand, start, end, batchSize int) []bat
 	return out
 }
 
-// destMasks returns the destination-GPU bitmask of triangle ti of draw di:
-// bit g is set when GPU g owns a tile the triangle's projected bounding box
-// overlaps. Each draw's masks are computed on its first query, under the
-// tile ownership at that moment, and cached.
-func destMasks(sys *multigpu.System, fr *primitive.Frame) func(di, ti int) uint64 {
+// destMasks returns the destination-GPU bitmasks of draw di's triangles:
+// bit g of mask ti is set when GPU g owns a tile triangle ti's projected
+// bounding box overlaps. Each draw's masks are computed on its first query,
+// under the tile ownership at that moment, and cached; a GPU's share of the
+// draw is the raster.Selection of these masks and its bit.
+func destMasks(sys *multigpu.System, fr *primitive.Frame) func(di int) []uint64 {
 	dests := make([][]uint64, len(fr.Draws))
-	return func(di, ti int) uint64 {
+	return func(di int) []uint64 {
 		if dests[di] == nil {
 			d := &fr.Draws[di]
 			mvp := fr.Proj.Mul(fr.View).Mul(d.Model)
@@ -101,8 +102,24 @@ func destMasks(sys *multigpu.System, fr *primitive.Frame) func(di, ti int) uint6
 			}
 			dests[di] = masks
 		}
-		return dests[di][ti]
+		return dests[di]
 	}
+}
+
+// selectionReqs appends to reqs one request per GPU that masks[lo:hi]
+// selects a triangle for, in ascending GPU order, each selecting that GPU's
+// triangles with opts.
+func selectionReqs(reqs []multigpu.DrawReq, masks []uint64, lo, hi, n int, opts gpu.DrawOpts) []multigpu.DrawReq {
+	var union uint64
+	for _, m := range masks[lo:hi] {
+		union |= m
+	}
+	for dst := 0; dst < n; dst++ {
+		if bit := uint64(1) << uint(dst); union&bit != 0 {
+			reqs = append(reqs, multigpu.DrawReq{GPU: dst, Sel: raster.Selection{Masks: masks, Bit: bit}, Opts: opts})
+		}
+	}
+	return reqs
 }
 
 // Run implements Scheme.
@@ -135,43 +152,37 @@ func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, 
 			done()
 		})
 
-		// submitBatch runs the normal pipeline on dst's share of batch b
-		// (runahead execution: called as soon as the batch is delivered).
-		submitBatch := func(b *batch, dst int) {
-			var cur *primitive.DrawCommand
-			var sub primitive.DrawCommand
-			flush := func() {
-				if cur == nil || len(sub.Tris) == 0 {
-					cur = nil
-					return
-				}
-				bar.Add(1)
-				sys.GPUs[dst].SubmitDraw(sub, fr.View, fr.Proj, gpu.DrawOpts{
-					OnDone: func(*raster.DrawResult) { bar.Done() },
-				})
-				cur = nil
-			}
+		// submitBatch runs the normal pipeline on every destination's
+		// share of batch b (runahead execution: called as soon as the batch
+		// is delivered). Each piece is set up once and prepared, in piece
+		// order, on every GPU it selects triangles for. The commits then go
+		// destination by destination, each in piece order: the order of
+		// the event tie-breaks.
+		opts := gpu.DrawOpts{OnDone: func(*raster.DrawResult) { bar.Done() }}
+		var reqs []multigpu.DrawReq
+		var prep []*gpu.PreparedDraw
+		var prepGPU []int
+		submitBatch := func(b *batch) {
 			for _, p := range b.pieces {
-				d := &fr.Draws[p.draw]
-				if cur != d {
-					flush()
-					cur = d
-					sub = primitive.DrawCommand{
-						ID:         d.ID,
-						Model:      d.Model,
-						State:      d.State,
-						VertexCost: d.VertexCost,
-						PixelCost:  d.PixelCost,
-						TextureID:  d.TextureID,
-					}
+				reqs = selectionReqs(reqs[:0], destMask(p.draw), p.lo, p.hi, n, opts)
+				if len(reqs) == 0 {
+					continue
 				}
-				for ti := p.lo; ti < p.hi; ti++ {
-					if destMask(p.draw, ti)&(1<<uint(dst)) != 0 {
-						sub.Tris = append(sub.Tris, d.Tris[ti])
+				prep = sys.PrepareBroadcast(prep, &fr.Draws[p.draw], p.lo, p.hi, fr.View, fr.Proj, reqs)
+				for _, r := range reqs {
+					prepGPU = append(prepGPU, r.GPU)
+				}
+			}
+			for dst := 0; dst < n; dst++ {
+				for i, g := range prepGPU {
+					if g == dst {
+						bar.Add(1)
+						sys.GPUs[dst].CommitDraw(prep[i])
 					}
 				}
 			}
-			flush()
+			clear(prep)
+			prep, prepGPU = prep[:0], prepGPU[:0]
 		}
 
 		// Distribution of batch bi: each source GPU in turn sends, to each
@@ -194,6 +205,7 @@ func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, 
 			}
 			idx := 0
 			for _, p := range b.pieces {
+				masks := destMask(p.draw)
 				for ti := p.lo; ti < p.hi; ti++ {
 					src := 0
 					for s := 0; s < n; s++ {
@@ -202,7 +214,7 @@ func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, 
 							break
 						}
 					}
-					m := destMask(p.draw, ti)
+					m := masks[ti]
 					for dst := 0; dst < n; dst++ {
 						if m&(1<<uint(dst)) != 0 && dst != src {
 							counts[src][dst]++
@@ -217,9 +229,7 @@ func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, 
 			finishBatch := func() {
 				distributed++
 				distAllDone = max(distAllDone, eng.Now())
-				for dst := 0; dst < n; dst++ {
-					submitBatch(b, dst)
-				}
+				submitBatch(b)
 				if bi+1 < len(batches) {
 					// Batching: start the next batch's distribution if its
 					// projection (which overlapped this distribution) is

@@ -52,7 +52,8 @@ func (SortMiddle) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameSt
 		xferIssued := false
 
 		// Phase 2: rasterize received primitives, in original draw order,
-		// each GPU restricted to its owned tiles.
+		// each GPU restricted to its owned tiles. Each draw is set up once;
+		// every GPU it was sent to rasterizes the triangles it received.
 		bar := r.TracedBarrier("segment draws", func() {
 			r.AttributePhases(segStart, []exec.Mark{
 				{Tag: stats.PhaseProjection, At: tGeomDone},
@@ -60,32 +61,20 @@ func (SortMiddle) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameSt
 			}, stats.PhaseNormal)
 			done()
 		})
+		opts := gpu.DrawOpts{
+			GeomFree: true, // vertices arrive already transformed
+			OnDone:   func(*raster.DrawResult) { bar.Done() },
+		}
+		var reqs []multigpu.DrawReq
 		rasterize := func() {
 			for i := seg.Start; i < seg.End; i++ {
-				d := fr.Draws[i]
-				for dst := 0; dst < n; dst++ {
-					sub := primitive.DrawCommand{
-						ID:         d.ID,
-						Model:      d.Model,
-						State:      d.State,
-						VertexCost: d.VertexCost,
-						PixelCost:  d.PixelCost,
-						TextureID:  d.TextureID,
-					}
-					for ti := range d.Tris {
-						if destMask(i, ti)&(1<<uint(dst)) != 0 {
-							sub.Tris = append(sub.Tris, d.Tris[ti])
-						}
-					}
-					if len(sub.Tris) == 0 {
-						continue
-					}
-					bar.Add(1)
-					sys.GPUs[dst].SubmitDraw(sub, fr.View, fr.Proj, gpu.DrawOpts{
-						GeomFree: true, // vertices arrive already transformed
-						OnDone:   func(*raster.DrawResult) { bar.Done() },
-					})
+				d := &fr.Draws[i]
+				reqs = selectionReqs(reqs[:0], destMask(i), 0, len(d.Tris), n, opts)
+				if len(reqs) == 0 {
+					continue
 				}
+				bar.Add(len(reqs))
+				sys.BroadcastDraw(d, fr.View, fr.Proj, reqs)
 			}
 			// If everything in the segment was clipped away the barrier is
 			// already drained; finish from a fresh event.
@@ -105,8 +94,7 @@ func (SortMiddle) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameSt
 			d := &fr.Draws[i]
 			src := (i - seg.Start) % n
 			counts := make([]int64, n)
-			for ti := range d.Tris {
-				m := destMask(i, ti)
+			for _, m := range destMask(i) {
 				for dst := 0; dst < n; dst++ {
 					if m&(1<<uint(dst)) != 0 && dst != src {
 						counts[dst]++

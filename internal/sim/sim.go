@@ -107,25 +107,14 @@ func (e *Engine) SetCancel(fn func() bool) {
 	e.cancelCount = 0
 }
 
-// Halt stops the engine: the current event finishes, but no further events
-// are dispatched until Resume. Pending events stay queued. Watchdogs use
+// Halt stops the engine for good: the current event finishes, but no
+// further events are dispatched. Pending events stay queued. Watchdogs use
 // this to bound wedged simulations.
 func (e *Engine) Halt() { e.halted = true }
-
-// Halted reports whether the engine has been stopped by Halt or by the
-// cancellation check.
-func (e *Engine) Halted() bool { return e.halted }
 
 // Canceled reports whether the engine was halted by the SetCancel check
 // (as opposed to an explicit Halt call).
 func (e *Engine) Canceled() bool { return e.canceled }
-
-// Resume clears a halt so stepping can continue. It does not clear the
-// cancellation check; a still-firing check will halt the engine again.
-func (e *Engine) Resume() {
-	e.halted = false
-	e.canceled = false
-}
 
 // arity is the heap fan-out. Four keeps the tree half as deep as a binary
 // heap — fewer cache lines touched per sift — while the four-way child scan
@@ -280,10 +269,10 @@ func (e *Engine) Run() Cycle {
 	return e.now
 }
 
-// RunUntil executes events with timestamps <= t, then advances the clock to
+// runUntil executes events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain pending. A halted engine only
 // advances the clock.
-func (e *Engine) RunUntil(t Cycle) {
+func (e *Engine) runUntil(t Cycle) {
 	for !e.halted && len(e.q) > 0 && e.q[0].at <= t {
 		e.Step()
 	}

@@ -102,7 +102,7 @@ func TestRunUntil(t *testing.T) {
 	e.At(10, func() { fired++ })
 	e.At(20, func() { fired++ })
 	e.At(30, func() { fired++ })
-	e.RunUntil(20)
+	e.runUntil(20)
 	if fired != 2 {
 		t.Errorf("fired = %d, want 2", fired)
 	}
@@ -120,7 +120,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	e := New()
-	e.RunUntil(500)
+	e.runUntil(500)
 	if e.Now() != 500 {
 		t.Errorf("now = %d, want 500", e.Now())
 	}
