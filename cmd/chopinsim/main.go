@@ -551,11 +551,9 @@ func printFabricSummary(sys *multigpu.System, st *stats.FrameStats) {
 
 // causalMetrics round-trips the captured timeline through the exporter and
 // the causal engine (exactly what chopintrace -critical does) and returns
-// the bottleneck-attribution metrics recorded into run records: the causal
-// makespan and critical path, per-category attribution (attr_<category>),
-// and per-category what-if projected makespans (whatif_<category>). A trace
-// with no category-tagged spans yields no metrics rather than an error, so
-// pre-causal capture paths keep working.
+// the run-record metrics: the causal makespan and critical path, and the
+// per-category attribution (attr_<category>). A trace with no
+// category-tagged spans yields no metrics rather than an error.
 func causalMetrics(tr *obs.Tracer) (map[string]float64, error) {
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -578,9 +576,6 @@ func causalMetrics(tr *obs.Tracer) (map[string]float64, error) {
 	}
 	for _, a := range rep.Attribution {
 		m["attr_"+a.Category] = float64(a.Cycles)
-	}
-	for _, w := range rep.WhatIf {
-		m["whatif_"+w.Category] = float64(w.Makespan)
 	}
 	return m, nil
 }

@@ -7,15 +7,13 @@
 //	chopintrace -top 20 trace.json     show the 20 longest spans
 //	chopintrace -check trace.json      validate structural invariants only
 //	chopintrace -critical trace.json   causal critical path + attribution
-//	chopintrace -whatif trace.json     what-if bounds per category
 //	chopintrace -fabric trace.json     fabric channels, congestion waves, latency
 //	chopintrace -json trace.json       machine-readable digest (byte-stable)
 //
 // The digest shows the k longest spans, per-track busy utilization, and the
 // busy-coverage figure. -critical builds the causal dependency graph
 // (internal/obs/causal) and prints the exact critical path plus a
-// per-category cycle attribution that sums to the frame makespan; -whatif
-// adds "removing category X buys at most Y" speedup bounds. Combining
+// per-category cycle attribution that sums to the frame makespan. Combining
 // -critical with -check additionally gates the causal accounting invariants
 // (attribution sums to the makespan) and exits non-zero on violation.
 //
@@ -41,7 +39,6 @@ type options struct {
 	top      int
 	check    bool
 	critical bool
-	whatif   bool
 	fabric   bool
 	jsonOut  bool
 }
@@ -51,12 +48,11 @@ func main() {
 	flag.IntVar(&opt.top, "top", 10, "number of longest spans to show")
 	flag.BoolVar(&opt.check, "check", false, "validate trace invariants and exit (non-zero on violation)")
 	flag.BoolVar(&opt.critical, "critical", false, "build the causal graph; print critical path and bottleneck attribution")
-	flag.BoolVar(&opt.whatif, "whatif", false, "print what-if speedup bounds per category (implies the causal graph)")
 	flag.BoolVar(&opt.fabric, "fabric", false, "print the fabric breakdown: hottest channels, per-wave congestion, wire-latency quantiles")
 	flag.BoolVar(&opt.jsonOut, "json", false, "emit the digest as byte-stable JSON instead of text")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: chopintrace [-top k] [-check] [-critical] [-whatif] [-fabric] [-json] trace.json")
+		fmt.Fprintln(os.Stderr, "usage: chopintrace [-top k] [-check] [-critical] [-fabric] [-json] trace.json")
 		os.Exit(2)
 	}
 	if err := run(os.Stdout, flag.Arg(0), opt); err != nil {
@@ -118,13 +114,13 @@ func run(w io.Writer, path string, opt options) error {
 	}
 
 	var rep *causal.Report
-	if opt.critical || opt.whatif || opt.jsonOut {
+	if opt.critical || opt.jsonOut {
 		rep, err = causal.AnalyzeTrace(tf)
 		if err != nil {
 			// A capture without category tags has no causal graph; the JSON
-			// digest simply omits the block, but -critical/-whatif were asked
-			// for it explicitly and must fail loudly.
-			if !errors.Is(err, causal.ErrNoCategories) || opt.critical || opt.whatif {
+			// digest simply omits the block, but -critical asked for it
+			// explicitly and must fail loudly.
+			if !errors.Is(err, causal.ErrNoCategories) || opt.critical {
 				return err
 			}
 			rep = nil
@@ -187,13 +183,6 @@ func run(w io.Writer, path string, opt options) error {
 		fmt.Fprintf(w, "bottleneck attribution (sums to makespan):\n")
 		for _, a := range rep.Attribution {
 			fmt.Fprintf(w, "  %-12s %12d cycles  %5.1f%%\n", a.Category, a.Cycles, 100*a.Fraction)
-		}
-	}
-	if rep != nil && opt.whatif {
-		fmt.Fprintf(w, "\nwhat-if bounds (one category's weights zeroed, makespan recomputed):\n")
-		for _, wi := range rep.WhatIf {
-			fmt.Fprintf(w, "  -%-12s makespan %12d  saved %12d  speedup %5.2fx\n",
-				wi.Category, wi.Makespan, wi.Saved, wi.Speedup)
 		}
 	}
 

@@ -113,16 +113,14 @@ func TestRunValidTrace(t *testing.T) {
 func TestRunCriticalPrintsAttribution(t *testing.T) {
 	path := writeTaggedTrace(t)
 	var out bytes.Buffer
-	if err := run(&out, path, options{top: 10, critical: true, whatif: true}); err != nil {
-		t.Fatalf("run() -critical -whatif: %v", err)
+	if err := run(&out, path, options{top: 10, critical: true}); err != nil {
+		t.Fatalf("run() -critical: %v", err)
 	}
 	text := out.String()
 	for _, want := range []string{
 		"causal critical path: 240 of 240 cycles",
 		"bottleneck attribution",
 		"geometry", "raster", "composition",
-		"what-if bounds",
-		"-composition",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
@@ -181,8 +179,8 @@ func TestRunJSONRoundTrip(t *testing.T) {
 	if d.CriticalPath != d.Causal.CriticalPath {
 		t.Errorf("digest critical path %d != causal report %d", d.CriticalPath, d.Causal.CriticalPath)
 	}
-	if len(d.Causal.WhatIf) == 0 {
-		t.Error("causal block has no what-if entries")
+	if bytes.Contains(a.Bytes(), []byte("what_if")) {
+		t.Error("digest still carries a what_if block")
 	}
 }
 

@@ -127,18 +127,6 @@ func (op BlendOp) String() string {
 	}
 }
 
-// Associative reports whether chains of this operator may be re-grouped.
-// All the blending operators here are individually associative; only mixing
-// different operators breaks associativity.
-func (op BlendOp) Associative() bool {
-	switch op {
-	case BlendOver, BlendAdd, BlendMul:
-		return true
-	default:
-		return false
-	}
-}
-
 // Blend applies op with src in front of (or combined into) dst.
 // For BlendNone the source simply replaces the destination.
 func Blend(op BlendOp, src, dst RGBA) RGBA {

@@ -143,12 +143,6 @@ func TestBlendOpMetadata(t *testing.T) {
 			t.Errorf("op %d has no name", op)
 		}
 	}
-	if !BlendOver.Associative() || !BlendAdd.Associative() || !BlendMul.Associative() {
-		t.Error("blending operators should report associative")
-	}
-	if BlendNone.Associative() {
-		t.Error("BlendNone (replace) is not a blending chain operator")
-	}
 }
 
 func TestRGBA8Quantization(t *testing.T) {

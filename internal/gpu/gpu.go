@@ -240,9 +240,8 @@ type GPU struct {
 	trGeom, trFrag obs.Track
 	cumFragsGen    int64 // cumulative generated fragments, for the probe
 
-	failed   bool
-	failedAt sim.Cycle
-	stats    Stats
+	failed bool
+	stats  Stats
 }
 
 // New returns a GPU with a cleared framebuffer for render target 0.
@@ -625,9 +624,8 @@ func (g *GPU) Fail() {
 		return
 	}
 	g.failed = true
-	g.failedAt = g.eng.Now()
 	if g.tr != nil {
-		g.tr.Instant(g.trGeom, "gpu failed", g.failedAt)
+		g.tr.Instant(g.trGeom, "gpu failed", g.eng.Now())
 	}
 }
 
@@ -642,6 +640,3 @@ func (g *GPU) DropTargets() {
 
 // Failed reports whether the GPU has been declared failed.
 func (g *GPU) Failed() bool { return g.failed }
-
-// FailedAt returns the cycle Fail was called (0 if the GPU is healthy).
-func (g *GPU) FailedAt() sim.Cycle { return g.failedAt }

@@ -27,19 +27,6 @@ type PathStep struct {
 	To       int64  `json:"to"`
 }
 
-// WhatIfEntry is one what-if projection: the frame makespan recomputed with
-// one category's weights zeroed — service time of the category's spans, plus
-// the wire-latency lags whose receiving span is in the category (for wire
-// categories) or all scheduling-gap lags (for queueing). Speedup is the
-// optimistic "removing this category buys at most this" bound, the
-// observability analogue of the paper's Fig. 4 argument.
-type WhatIfEntry struct {
-	Category string  `json:"category"`
-	Makespan int64   `json:"makespan"`
-	Saved    int64   `json:"saved"`
-	Speedup  float64 `json:"speedup"`
-}
-
 // Report is the causal analysis digest. Field order is fixed and all slices
 // are canonically ordered, so JSON output is byte-stable for identical
 // traces.
@@ -52,7 +39,6 @@ type Report struct {
 	CriticalPath int64            `json:"critical_path"`
 	Attribution  []CategoryCycles `json:"attribution"`
 	Path         []PathStep       `json:"path,omitempty"`
-	WhatIf       []WhatIfEntry    `json:"what_if,omitempty"`
 }
 
 // AttrFor returns the cycles attributed to category c.
@@ -63,16 +49,6 @@ func (r *Report) AttrFor(c obs.Category) int64 {
 		}
 	}
 	return 0
-}
-
-// WhatIfFor returns the what-if entry for category c (zero value if absent).
-func (r *Report) WhatIfFor(c obs.Category) WhatIfEntry {
-	for _, w := range r.WhatIf {
-		if w.Category == c.String() {
-			return w
-		}
-	}
-	return WhatIfEntry{}
 }
 
 // Check verifies the engine's accounting invariants and returns the first
@@ -93,79 +69,7 @@ func (r *Report) Check() error {
 	if r.CriticalPath < 0 || r.CriticalPath > r.Makespan {
 		return fmt.Errorf("causal: critical path %d outside [0, makespan %d]", r.CriticalPath, r.Makespan)
 	}
-	for _, w := range r.WhatIf {
-		if w.Makespan < 0 || w.Makespan > r.Makespan {
-			return fmt.Errorf("causal: what-if(%s) makespan %d outside [0, %d]", w.Category, w.Makespan, r.Makespan)
-		}
-	}
 	return nil
-}
-
-// service returns node v's modeled service time. Barrier-track spans record
-// seal-to-release waiting, which the model realizes through join edges (the
-// barrier releases when its last joiner finishes), so a joined barrier
-// contributes zero service; an unjoined barrier (its gating completions left
-// no tagged span, e.g. control traffic) keeps its observed wait as
-// irreducible delay.
-func (g *Graph) service(v int) int64 {
-	if g.joinedBarrier(v) {
-		return 0
-	}
-	return g.Nodes[v].Dur
-}
-
-// Project recomputes the frame makespan under the edge model with category
-// zero's weights removed. Passing obs.CatNone removes nothing; because every
-// edge lag is derived from the observed schedule (each constraint is tight),
-// the baseline projection reproduces the observed makespan exactly — the
-// internal consistency check tests pin.
-//
-// Zeroing semantics: spans of the category execute in zero cycles; flow-edge
-// lags (wire latency) are zeroed when the receiving span is in the category;
-// all other lags (scheduling gaps) are zeroed only for CatQueueing. Lags not
-// zeroed stay fixed at their observed values, so the projection is a bound
-// under the observed dependence structure, not a re-simulation.
-func (g *Graph) Project(zero obs.Category) int64 {
-	start := make([]int64, len(g.Nodes))
-	fin := make([]int64, len(g.Nodes))
-	maxFin := g.Start
-	for _, v := range g.topo {
-		st := g.Nodes[v].Ts // roots anchor at their observed start
-		if len(g.in[v]) > 0 {
-			st = -1 << 62
-			for _, ei := range g.in[v] {
-				e := g.Edges[ei]
-				lag := e.Lag
-				switch {
-				case e.Kind == EdgeFlow:
-					if zero != obs.CatNone && g.Nodes[e.To].Cat == zero {
-						lag = 0
-					}
-				case zero == obs.CatQueueing:
-					lag = 0
-				}
-				var c int64
-				if e.Kind == EdgeFlow {
-					c = start[e.From] + lag
-				} else {
-					c = fin[e.From] + lag
-				}
-				if c > st {
-					st = c
-				}
-			}
-		}
-		s := g.service(v)
-		if zero != obs.CatNone && g.Nodes[v].Cat == zero {
-			s = 0
-		}
-		start[v] = st
-		fin[v] = st + s
-		if fin[v] > maxFin {
-			maxFin = fin[v]
-		}
-	}
-	return maxFin - g.Start
 }
 
 // Analyze extracts the critical path and the per-category attribution, which
@@ -254,21 +158,12 @@ func (g *Graph) Analyze() *Report {
 	return r
 }
 
-// AnalyzeTrace is the one-call pipeline: build the graph, extract path and
-// attribution, and project every category's what-if bound.
+// AnalyzeTrace is the one-call pipeline: build the graph, then extract the
+// critical path and the attribution.
 func AnalyzeTrace(tf *obs.TraceFile) (*Report, error) {
 	g, err := Build(tf)
 	if err != nil {
 		return nil, err
 	}
-	r := g.Analyze()
-	for _, c := range obs.Categories() {
-		m := g.Project(c)
-		w := WhatIfEntry{Category: c.String(), Makespan: m, Saved: r.Makespan - m}
-		if m > 0 {
-			w.Speedup = float64(r.Makespan) / float64(m)
-		}
-		r.WhatIf = append(r.WhatIf, w)
-	}
-	return r, nil
+	return g.Analyze(), nil
 }

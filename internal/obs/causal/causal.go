@@ -1,9 +1,7 @@
 // Package causal builds a frame-level dependency DAG from an exported
 // timeline and answers "where did the cycles go": the exact longest
-// (critical) path through the observed dependence structure, a per-category
-// cycle attribution that provably sums to the frame makespan, and what-if
-// bounds for removing one category — the simulator-observability analogue of
-// the paper's Fig. 4 bottleneck argument.
+// (critical) path through the observed dependence structure and a
+// per-category cycle attribution that provably sums to the frame makespan.
 //
 // Nodes are the category-tagged spans of the trace (internal/obs CatArg);
 // untagged spans (phase rollups, engine dispatch slices) are invisible.
@@ -102,14 +100,11 @@ func (k EdgeKind) String() string {
 }
 
 // Edge is one precedence constraint between nodes. For EdgeFlow the
-// constraint is start-to-start (To starts ≥ Lag after From starts); for all
-// other kinds it is finish-to-start (To starts ≥ Lag after From ends). Lags
-// are derived from the observed schedule, so every edge is tight on the
-// observed timestamps.
+// constraint is start-to-start (To starts no earlier than From starts); for
+// all other kinds it is finish-to-start (To starts no earlier than From ends).
 type Edge struct {
 	From, To int
 	Kind     EdgeKind
-	Lag      int64
 }
 
 // Graph is the frame dependency DAG.
@@ -120,8 +115,7 @@ type Graph struct {
 	// their difference — the wall-clock the attribution must account for.
 	Start, End int64
 
-	in   [][]int // per node, indices into Edges of its in-edges
-	topo []int   // node indices in a deterministic topological order
+	in [][]int // per node, indices into Edges of its in-edges
 }
 
 // Makespan returns End − Start.
@@ -190,7 +184,7 @@ func Build(tf *obs.TraceFile) (*Graph, error) {
 	g.stageEdges(tf)
 	g.barrierEdges()
 	g.canonicalize()
-	if err := g.toposort(); err != nil {
+	if err := g.checkAcyclic(); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -258,7 +252,7 @@ func (g *Graph) trackEdges(tracks map[[2]int]*trackRef) {
 		ref := tracks[key]
 		for v := ref.lo; v < ref.hi; v++ {
 			if u := g.latestEndAtMost(ref, g.Nodes[v].Ts); u >= 0 && u != v {
-				g.Edges = append(g.Edges, Edge{From: u, To: v, Kind: EdgeTrack, Lag: g.Nodes[v].Ts - g.Nodes[u].End()})
+				g.Edges = append(g.Edges, Edge{From: u, To: v, Kind: EdgeTrack})
 			}
 		}
 	}
@@ -304,7 +298,7 @@ func (g *Graph) nodeEndingAt(ref *trackRef, t int64) int {
 
 // flowEdges binds every matched flow-arrow pair to its enclosing spans as a
 // start-to-start edge: the receiving span cannot begin earlier than the
-// sending span plus the observed wire lag. Unmatched or ambiguous flow ids
+// sending span. Unmatched or ambiguous flow ids and backwards arrows
 // (malformed traces) are skipped.
 func (g *Graph) flowEdges(tf *obs.TraceFile, tracks map[[2]int]*trackRef) {
 	type endpoint struct {
@@ -344,17 +338,16 @@ func (g *Graph) flowEdges(tf *obs.TraceFile, tracks map[[2]int]*trackRef) {
 			continue
 		}
 		// Flow arrows never touch the barrier track in exporter output; a
-		// hand-made one would couple a start-to-start lag to a waiting span,
-		// which the forward model has no sound interpretation for.
+		// hand-made one would couple a start-to-start edge to a waiting span,
+		// which has no sound causal interpretation.
 		if barrierTrack(g.Nodes[s.node].Pid, g.Nodes[s.node].Tid) ||
 			barrierTrack(g.Nodes[f.node].Pid, g.Nodes[f.node].Tid) {
 			continue
 		}
-		lag := g.Nodes[f.node].Ts - g.Nodes[s.node].Ts
-		if lag < 0 {
+		if g.Nodes[f.node].Ts < g.Nodes[s.node].Ts {
 			continue
 		}
-		g.Edges = append(g.Edges, Edge{From: s.node, To: f.node, Kind: EdgeFlow, Lag: lag})
+		g.Edges = append(g.Edges, Edge{From: s.node, To: f.node, Kind: EdgeFlow})
 	}
 }
 
@@ -385,11 +378,10 @@ func (g *Graph) causeEdges(tf *obs.TraceFile, tracks map[[2]int]*trackRef) {
 		if u < 0 || u == v {
 			continue
 		}
-		lag := g.Nodes[v].Ts - g.Nodes[u].End()
-		if lag < 0 {
+		if g.Nodes[v].Ts < g.Nodes[u].End() {
 			continue
 		}
-		g.Edges = append(g.Edges, Edge{From: u, To: v, Kind: EdgeCause, Lag: lag})
+		g.Edges = append(g.Edges, Edge{From: u, To: v, Kind: EdgeCause})
 	}
 }
 
@@ -439,15 +431,15 @@ func (g *Graph) stageEdges(tf *obs.TraceFile) {
 			}
 		}
 		if best >= 0 {
-			g.Edges = append(g.Edges, Edge{From: best, To: v, Kind: EdgeStage, Lag: n.Ts - g.Nodes[best].End()})
+			g.Edges = append(g.Edges, Edge{From: best, To: v, Kind: EdgeStage})
 		}
 	}
 }
 
 // joinedBarrier reports whether node v is a barrier-track span with at least
 // one join in-edge: its release is explained by a tagged completion, so its
-// span length is realized waiting, not service (see Graph.service and the
-// pass-through rule in Analyze).
+// span length is realized waiting, not work (see the pass-through rule in
+// Analyze).
 func (g *Graph) joinedBarrier(v int) bool {
 	if !barrierTrack(g.Nodes[v].Pid, g.Nodes[v].Tid) {
 		return false
@@ -480,15 +472,15 @@ func (g *Graph) barrierEdges() {
 	for _, b := range barriers {
 		rel := g.Nodes[b].End()
 		for _, u := range byEnd[rel] {
-			g.Edges = append(g.Edges, Edge{From: u, To: b, Kind: EdgeBarrier, Lag: 0})
+			g.Edges = append(g.Edges, Edge{From: u, To: b, Kind: EdgeBarrier})
 		}
 		for _, v := range byTs[rel] {
-			g.Edges = append(g.Edges, Edge{From: b, To: v, Kind: EdgeBarrier, Lag: 0})
+			g.Edges = append(g.Edges, Edge{From: b, To: v, Kind: EdgeBarrier})
 		}
 	}
 }
 
-// canonicalize sorts edges by (To, From, Kind, Lag), drops self-edges, and
+// canonicalize sorts edges by (To, From, Kind), drops self-edges, and
 // deduplicates — the canonical order every analysis iterates in.
 func (g *Graph) canonicalize() {
 	sort.SliceStable(g.Edges, func(a, b int) bool {
@@ -499,10 +491,7 @@ func (g *Graph) canonicalize() {
 		if ea.From != eb.From {
 			return ea.From < eb.From
 		}
-		if ea.Kind != eb.Kind {
-			return ea.Kind < eb.Kind
-		}
-		return ea.Lag < eb.Lag
+		return ea.Kind < eb.Kind
 	})
 	out := g.Edges[:0]
 	for _, e := range g.Edges {
@@ -521,9 +510,9 @@ func (g *Graph) canonicalize() {
 	}
 }
 
-// toposort orders the nodes (Kahn's algorithm, FIFO over ascending node
-// index — deterministic) and detects cycles.
-func (g *Graph) toposort() error {
+// checkAcyclic runs Kahn's algorithm over the edges and reports a cycle as a
+// *CycleError; Analyze's backward walk terminates only on an acyclic graph.
+func (g *Graph) checkAcyclic() error {
 	indeg := make([]int, len(g.Nodes))
 	out := make([][]int, len(g.Nodes))
 	for _, e := range g.Edges {
@@ -536,11 +525,11 @@ func (g *Graph) toposort() error {
 			queue = append(queue, i)
 		}
 	}
-	g.topo = g.topo[:0]
+	ordered := 0
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		g.topo = append(g.topo, v)
+		ordered++
 		for _, w := range out[v] {
 			indeg[w]--
 			if indeg[w] == 0 {
@@ -548,8 +537,8 @@ func (g *Graph) toposort() error {
 			}
 		}
 	}
-	if len(g.topo) != len(g.Nodes) {
-		return &CycleError{Remaining: len(g.Nodes) - len(g.topo)}
+	if ordered != len(g.Nodes) {
+		return &CycleError{Remaining: len(g.Nodes) - ordered}
 	}
 	return nil
 }

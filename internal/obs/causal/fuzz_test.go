@@ -77,9 +77,5 @@ func FuzzBuild(f *testing.F) {
 		if r.CriticalPath < 0 || r.CriticalPath > r.Makespan {
 			t.Fatalf("critical path %d outside [0, %d]", r.CriticalPath, r.Makespan)
 		}
-		// The baseline projection must never run the model backwards.
-		if m := g.Project(obs.CatNone); m < 0 {
-			t.Fatalf("baseline projection %d < 0", m)
-		}
 	})
 }

@@ -274,12 +274,10 @@ func (f *figure) phases() ([]phaseBreakdown, []string) {
 }
 
 // bottleneckRow is one row's causal bottleneck attribution: per-category
-// cycle fractions of the row's own causal makespan (summing to 1), plus the
-// what-if speedup bound for each category.
+// cycle fractions of the row's own causal makespan (summing to 1).
 type bottleneckRow struct {
-	label   string
-	frac    []float64 // aligned with obs.Categories()
-	speedup []float64 // makespan / whatif_<category>; 0 when not recorded
+	label string
+	frac  []float64 // aligned with obs.Categories()
 }
 
 // bottleneckRows extracts the rows carrying causal attribution metrics
@@ -294,12 +292,9 @@ func bottleneckRows(rec *Record) []bottleneckRow {
 		if mk <= 0 {
 			continue
 		}
-		br := bottleneckRow{label: r.Key.String(), frac: make([]float64, len(cats)), speedup: make([]float64, len(cats))}
+		br := bottleneckRow{label: r.Key.String(), frac: make([]float64, len(cats))}
 		for ci, c := range cats {
 			br.frac[ci] = r.Metrics["attr_"+c.String()] / mk
-			if w := r.Metrics["whatif_"+c.String()]; w > 0 {
-				br.speedup[ci] = mk / w
-			}
 		}
 		out = append(out, br)
 	}
@@ -308,8 +303,7 @@ func bottleneckRows(rec *Record) []bottleneckRow {
 }
 
 // writeBottlenecks renders the causal bottleneck figure: one stacked bar per
-// traced row (category cycles as fractions of that row's causal makespan —
-// the Fig. 4 analogue) and a what-if table of per-category speedup bounds.
+// traced row, its category cycles as fractions of the row's causal makespan.
 func writeBottlenecks(b *strings.Builder, rec *Record) {
 	rows := bottleneckRows(rec)
 	if len(rows) == 0 {
@@ -352,25 +346,6 @@ func writeBottlenecks(b *strings.Builder, rec *Record) {
 		lx += 22 + 9*len(c.String())
 	}
 	b.WriteString("</svg>\n")
-
-	// What-if bounds: the speedup ceiling from removing each category.
-	b.WriteString("<h2>what-if speedup bounds</h2>\n<table>\n<tr><th>row</th>")
-	for _, c := range cats {
-		fmt.Fprintf(b, "<th>&#8722;%s</th>", c.String())
-	}
-	b.WriteString("</tr>\n")
-	for _, row := range rows {
-		fmt.Fprintf(b, "<tr><td>%s</td>", esc(row.label))
-		for _, s := range row.speedup {
-			if s > 0 {
-				fmt.Fprintf(b, "<td>%.2f&#215;</td>", s)
-			} else {
-				b.WriteString("<td>&#8212;</td>")
-			}
-		}
-		b.WriteString("</tr>\n")
-	}
-	b.WriteString("</table>\n")
 }
 
 // linkHeatRow is one telemetry-enabled row's per-link utilization vector,
