@@ -238,9 +238,5 @@ func ReferenceImage(fr *Frame) *Image {
 // ScaledThreshold converts a paper triangle threshold (e.g. the 4096-
 // primitive group threshold) to a scaled trace's proportional equivalent.
 func ScaledThreshold(paperValue int, scale float64) int {
-	v := int(float64(paperValue) * scale)
-	if v < 16 {
-		v = 16
-	}
-	return v
+	return trace.ScaledThreshold(paperValue, scale)
 }

@@ -368,7 +368,7 @@ func runSingle(scheme, bench string, gpus int, scale float64, ideal, verify, fab
 	cfg.Link.Ideal = ideal
 	cfg.Verify = verify
 	cfg.FabricTelemetry = fabricSummary
-	cfg.GroupThreshold = max(16, int(float64(cfg.GroupThreshold)*scale))
+	cfg.GroupThreshold = trace.ScaledThreshold(cfg.GroupThreshold, scale)
 	if err := so.apply(&cfg); err != nil {
 		return err
 	}

@@ -161,9 +161,6 @@ func (c *Checker) EventWatcher() func(at sim.Cycle) {
 	}
 }
 
-// EventsObserved returns the number of engine events the watcher saw.
-func (c *Checker) EventsObserved() int64 { return c.events }
-
 // DepthMerge performs composite.DepthMerge(dst, src, cmp, tiles) and then
 // verifies, pixel by pixel over the merged tiles, that the merge was a
 // monotone selection: the surviving depth is exactly the cmp-winner of the

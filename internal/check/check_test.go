@@ -58,7 +58,7 @@ func TestConservationThroughFabric(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("conserved run reported violations: %v", err)
 	}
-	if c.EventsObserved() == 0 {
+	if c.events == 0 {
 		t.Error("event watcher observed no events")
 	}
 }

@@ -40,15 +40,6 @@ func NewTransparentComposer(n int) *TransparentComposer {
 // SetReady marks GPU g's sub-image as generated.
 func (tc *TransparentComposer) SetReady(g int) { tc.ready[g] = true }
 
-// Holds returns the range GPU g currently holds, or ok=false if it has
-// merged away.
-func (tc *TransparentComposer) Holds(g int) (lo, hi int, ok bool) {
-	if tc.lo[g] < 0 {
-		return 0, 0, false
-	}
-	return tc.lo[g], tc.hi[g], true
-}
-
 // NextMerges schedules all adjacent merges possible now, marking both
 // parties busy. The front (higher-range) holder sends to the back holder.
 func (tc *TransparentComposer) NextMerges() []Merge {

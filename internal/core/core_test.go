@@ -334,9 +334,8 @@ func TestTransparentComposerChain(t *testing.T) {
 		}
 		for _, m := range ms {
 			// Front range must start right after back range.
-			_, backHi, ok1 := tc.Holds(m.To)
-			frontLo, _, ok2 := tc.Holds(m.From)
-			if !ok1 || !ok2 || frontLo != backHi+1 {
+			// A holder that merged away has lo < 0.
+			if tc.lo[m.To] < 0 || tc.lo[m.From] < 0 || tc.lo[m.From] != tc.hi[m.To]+1 {
 				t.Fatalf("non-adjacent merge %+v", m)
 			}
 			tc.Complete(m)

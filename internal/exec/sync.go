@@ -25,17 +25,13 @@ func (r *Runtime) SyncTarget(rt int, ownedTiles func(src int) []int, done func()
 			continue
 		}
 		var tiles []int
+		var px int
 		if ownedTiles != nil {
 			tiles = ownedTiles(src)
+			px = sys.PixelCount(tiles)
 		} else {
-			srcFB := sys.GPUs[src].Target(rt)
-			for t := 0; t < sys.TileCount(); t++ {
-				if sys.Owner(t) == src && srcFB.Dirty(t) {
-					tiles = append(tiles, t)
-				}
-			}
+			tiles, px = sys.OwnedDirtyTiles(sys.GPUs[src].Target(rt), src, 0, sys.Height())
 		}
-		px := sys.PixelCount(tiles)
 		if px == 0 {
 			continue
 		}

@@ -32,122 +32,70 @@ func (d Digest) key() string {
 	return k
 }
 
-// determinismMatrix is the scheme × GPU-count grid the self-check runs over
-// every benchmark in the options.
-func determinismMatrix() []struct {
+// digestCell is one configuration of the self-check, run over every
+// benchmark in the options. The zero topology and plan are the default
+// crossbar and direct send.
+type digestCell struct {
 	scheme sfr.Scheme
 	gpus   int
-} {
-	return []struct {
-		scheme sfr.Scheme
-		gpus   int
-	}{
-		{sfr.Duplication{}, 2},
-		{sfr.GPUpd{}, 2},
-		{sfr.CHOPIN{}, 2},
-		{sfr.SortMiddle{}, 2},
-		{sfr.Duplication{}, 8},
-		{sfr.GPUpd{}, 8},
-		{sfr.CHOPIN{}, 8},
-		{sfr.SortMiddle{}, 8},
-	}
+	topo   interconnect.TopologyKind
+	alg    plan.Algorithm
 }
 
-// runDigests executes the determinism matrix with the given worker count and
-// returns one digest per simulation, in matrix order.
-func runDigests(opt Options, workers int) ([]Digest, error) {
-	opt.Workers = workers
-	opt.normalize()
-	matrix := determinismMatrix()
-	n := len(matrix) * len(opt.Benchmarks)
-	outs := make([]*stats.FrameStats, n)
-	imgs := make([]uint64, n)
-	var jobs []job
-	i := 0
-	for _, bench := range opt.Benchmarks {
-		for _, m := range matrix {
-			cfg := opt.baseConfig()
-			cfg.NumGPUs = m.gpus
-			jobs = append(jobs, job{bench: bench, scheme: m.scheme, cfg: cfg, out: &outs[i], img: &imgs[i]})
-			i++
-		}
-	}
-	if err := runJobs(&opt, jobs); err != nil {
-		return nil, err
-	}
-	digests := make([]Digest, n)
-	for i, st := range outs {
-		digests[i] = Digest{
-			Scheme: jobs[i].scheme.Name(),
-			Bench:  jobs[i].bench,
-			GPUs:   jobs[i].cfg.NumGPUs,
-			Cycles: int64(st.TotalCycles),
-			Image:  imgs[i],
-		}
-	}
-	return digests, nil
+// determinismMatrix is the scheme × GPU-count grid of the self-check's
+// first axis, on the default crossbar/direct-send path.
+var determinismMatrix = []digestCell{
+	{scheme: sfr.Duplication{}, gpus: 2},
+	{scheme: sfr.GPUpd{}, gpus: 2},
+	{scheme: sfr.CHOPIN{}, gpus: 2},
+	{scheme: sfr.SortMiddle{}, gpus: 2},
+	{scheme: sfr.Duplication{}, gpus: 8},
+	{scheme: sfr.GPUpd{}, gpus: 8},
+	{scheme: sfr.CHOPIN{}, gpus: 8},
+	{scheme: sfr.SortMiddle{}, gpus: 8},
 }
 
 // scaleOutMatrix is the topology × exchange-plan axis of the self-check:
 // CHOPIN cells off the default crossbar/direct-send path, at GPU counts
 // that exercise multi-round plans and routed fabrics.
-func scaleOutMatrix() []struct {
-	topo interconnect.TopologyKind
-	alg  plan.Algorithm
-	gpus int
-} {
-	return []struct {
-		topo interconnect.TopologyKind
-		alg  plan.Algorithm
-		gpus int
-	}{
-		{interconnect.TopoCrossbar, plan.AlgBinarySwap, 8},
-		{interconnect.TopoRing, plan.AlgDirectSend, 8},
-		{interconnect.TopoRing, plan.AlgBinarySwap, 16},
-		{interconnect.TopoMesh2D, plan.AlgRadixK, 16},
-	}
+var scaleOutMatrix = []digestCell{
+	{sfr.CHOPIN{}, 8, interconnect.TopoCrossbar, plan.AlgBinarySwap},
+	{sfr.CHOPIN{}, 8, interconnect.TopoRing, plan.AlgDirectSend},
+	{sfr.CHOPIN{}, 16, interconnect.TopoRing, plan.AlgBinarySwap},
+	{sfr.CHOPIN{}, 16, interconnect.TopoMesh2D, plan.AlgRadixK},
 }
 
-// scaleOutLabel renders the matrix entry's Cfg axis label.
-func scaleOutLabel(topo interconnect.TopologyKind, alg plan.Algorithm) string {
-	return fmt.Sprintf("%s/%s", topo, alg)
-}
-
-// runScaleOutDigests executes the scale-out matrix over every benchmark in
-// the options with the given worker count and returns one digest per
-// simulation, in matrix order.
-func runScaleOutDigests(opt Options, workers int) ([]Digest, error) {
+// runDigests executes matrix over every benchmark in the options with the
+// given worker count and returns one digest per simulation, in matrix order.
+func runDigests(opt Options, matrix []digestCell, workers int) ([]Digest, error) {
 	opt.Workers = workers
 	opt.normalize()
-	matrix := scaleOutMatrix()
 	n := len(matrix) * len(opt.Benchmarks)
 	outs := make([]*stats.FrameStats, n)
 	imgs := make([]uint64, n)
+	digests := make([]Digest, 0, n)
 	var jobs []job
-	i := 0
 	for _, bench := range opt.Benchmarks {
 		for _, m := range matrix {
 			cfg := opt.baseConfig()
 			cfg.NumGPUs = m.gpus
 			cfg.Link.Topology = m.topo
 			cfg.CompAlg = m.alg
-			jobs = append(jobs, job{bench: bench, scheme: sfr.CHOPIN{}, cfg: cfg, out: &outs[i], img: &imgs[i]})
-			i++
+			i := len(jobs)
+			jobs = append(jobs, job{bench: bench, scheme: m.scheme, cfg: cfg, out: &outs[i], img: &imgs[i]})
+			d := Digest{Scheme: m.scheme.Name(), Bench: bench, GPUs: m.gpus}
+			if m.topo != interconnect.TopoCrossbar || m.alg != plan.AlgDirectSend {
+				d.Cfg = fmt.Sprintf("%s/%s", m.topo, m.alg)
+			}
+			digests = append(digests, d)
 		}
 	}
 	if err := runJobs(&opt, jobs); err != nil {
 		return nil, err
 	}
-	digests := make([]Digest, n)
 	for i, st := range outs {
-		digests[i] = Digest{
-			Scheme: jobs[i].scheme.Name(),
-			Bench:  jobs[i].bench,
-			GPUs:   jobs[i].cfg.NumGPUs,
-			Cfg:    scaleOutLabel(jobs[i].cfg.Link.Topology, jobs[i].cfg.CompAlg),
-			Cycles: int64(st.TotalCycles),
-			Image:  imgs[i],
-		}
+		digests[i].Cycles = int64(st.TotalCycles)
+		digests[i].Image = imgs[i]
 	}
 	return digests, nil
 }
@@ -186,21 +134,21 @@ func diffDigests(seq, par []Digest, a, b string) []string {
 // error describing each mismatch.
 func CheckDeterminism(opt Options) ([]Digest, error) {
 	opt.normalize()
-	seq, err := runDigests(opt, 1)
+	seq, err := runDigests(opt, determinismMatrix, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sequential pass: %w", err)
 	}
-	par, err := runDigests(opt, opt.Workers)
+	par, err := runDigests(opt, determinismMatrix, opt.Workers)
 	if err != nil {
 		return seq, fmt.Errorf("parallel pass: %w", err)
 	}
 	diffs := diffDigests(seq, par, "sequential", "parallel")
 
-	sseq, err := runScaleOutDigests(opt, 1)
+	sseq, err := runDigests(opt, scaleOutMatrix, 1)
 	if err != nil {
 		return seq, fmt.Errorf("sequential scale-out pass: %w", err)
 	}
-	spar, err := runScaleOutDigests(opt, opt.Workers)
+	spar, err := runDigests(opt, scaleOutMatrix, opt.Workers)
 	if err != nil {
 		return seq, fmt.Errorf("parallel scale-out pass: %w", err)
 	}

@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"chopin/internal/multigpu"
-	"chopin/internal/obs"
 	"chopin/internal/primitive"
 	"chopin/internal/runrec"
 	"chopin/internal/sfr"
@@ -55,12 +54,6 @@ type Options struct {
 	Verbose bool
 	// Out receives progress output (may be nil).
 	Out io.Writer
-	// Trace, when non-nil, is consulted for every simulation the experiment
-	// runs: returning a non-nil tracer attaches the observability layer
-	// (multigpu.Config.Tracer) to that scheme×benchmark cell. The caller
-	// owns the returned tracers and exports them after Run returns. Trace
-	// must be safe for concurrent calls when Workers > 1.
-	Trace func(scheme, bench string, gpus int) *obs.Tracer
 	// Ctx, when non-nil, cancels the experiment: running simulations halt at
 	// their next cancellation poll and the experiment returns ctx.Err().
 	// Defaults to context.Background().
@@ -98,15 +91,6 @@ func (o *Options) normalize() {
 	}
 }
 
-// scaled converts a triangle-denominated paper parameter to the trace scale.
-func (o *Options) scaled(tris int) int {
-	v := int(float64(tris) * o.Scale)
-	if v < 16 {
-		v = 16
-	}
-	return v
-}
-
 // baseConfig returns the Table II configuration with thresholds adjusted to
 // the trace scale.
 func (o *Options) baseConfig() multigpu.Config {
@@ -116,7 +100,7 @@ func (o *Options) baseConfig() multigpu.Config {
 	// cost link latency apiece, and latency does not shrink with workload,
 	// so keeping the byte-per-batch granularity fixed preserves the
 	// distribution-to-rendering ratio across scales.
-	cfg.GroupThreshold = o.scaled(cfg.GroupThreshold)
+	cfg.GroupThreshold = trace.ScaledThreshold(cfg.GroupThreshold, o.Scale)
 	cfg.Verify = o.Verify
 	return cfg
 }
@@ -248,11 +232,7 @@ func (j *job) record(opt *Options, st *stats.FrameStats, done, total int) {
 	if opt.Record != nil && st != nil {
 		key := runrec.Key{Experiment: exp, Cell: j.cell, Scheme: j.recordLabel(),
 			Bench: j.bench, GPUs: j.cfg.NumGPUs}
-		row := runrec.FromStats(key, j.cfg.Fingerprint(), st)
-		for _, c := range j.cfg.Tracer.CounterFinals() {
-			row.Metrics[runrec.CounterMetric(c.Pid, c.Name)] = float64(c.Val)
-		}
-		opt.Record.Add(row)
+		opt.Record.Add(runrec.FromStats(key, j.cfg.Fingerprint(), st))
 	}
 	if opt.Progress != nil {
 		opt.Progress(ProgressEvent{Experiment: exp, Scheme: j.recordLabel(),
@@ -301,9 +281,6 @@ func runJobs(opt *Options, jobs []job) error {
 		fr, err := frameFor(j.bench, opt.Scale)
 		if err != nil {
 			return err
-		}
-		if opt.Trace != nil {
-			j.cfg.Tracer = opt.Trace(j.scheme.Name(), j.bench, j.cfg.NumGPUs)
 		}
 		if j.cfg.Cancel == nil {
 			j.cfg.Cancel = func() bool { return ctx.Err() != nil }

@@ -158,7 +158,7 @@ func fig22(opt *Options) (*Result, error) {
 		{"IdealCHOPIN", sfr.CHOPIN{}, func(c *multigpu.Config) { c.Link.Ideal = true }},
 	}
 	for _, th := range thresholds {
-		scaledTh := opt.scaled(th)
+		scaledTh := trace.ScaledThreshold(th, opt.Scale)
 		_, gmeans, err := speedupMatrix(opt, vars, 8, fmt.Sprintf("th%d", th), func(c *multigpu.Config) {
 			c.GroupThreshold = scaledTh
 		})
@@ -245,8 +245,8 @@ func sec6e(opt *Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		p4 := core.Summarize(core.Plan(fr.Draws, opt.scaled(4096)))
-		p16 := core.Summarize(core.Plan(fr.Draws, opt.scaled(16384)))
+		p4 := core.Summarize(core.Plan(fr.Draws, trace.ScaledThreshold(4096, opt.Scale)))
+		p16 := core.Summarize(core.Plan(fr.Draws, trace.ScaledThreshold(16384, opt.Scale)))
 		a4 += float64(p4.Accelerated)
 		c4 += float64(p4.TrianglesAccel) / float64(p4.TrianglesTotal)
 		a16 += float64(p16.Accelerated)

@@ -296,11 +296,6 @@ func (b *Buffer) SetDepth(x, y int, d float64) {
 	b.depth.writable(t)[i] = d
 }
 
-// TileOf returns the tile index containing pixel (x, y).
-func (b *Buffer) TileOf(x, y int) int {
-	return (y/TileSize)*b.tilesX + x/TileSize
-}
-
 // TileRect returns the pixel bounds [x0, x1)×[y0, y1) of tile t, clipped to
 // the buffer edge for partial tiles.
 func (b *Buffer) TileRect(t int) (x0, y0, x1, y1 int) {

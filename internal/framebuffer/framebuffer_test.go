@@ -99,7 +99,7 @@ func TestTileOfAndRectRoundTrip(t *testing.T) {
 	f := func(px, py uint16) bool {
 		x := int(px) % b.Width()
 		y := int(py) % b.Height()
-		tile := b.TileOf(x, y)
+		tile, _ := b.locate(x, y)
 		x0, y0, x1, y1 := b.TileRect(tile)
 		return x >= x0 && x < x1 && y >= y0 && y < y1
 	}
@@ -114,7 +114,7 @@ func TestCopyTileFrom(t *testing.T) {
 	green := colorspace.Opaque(0, 1, 0)
 	src.Set(70, 70, green) // tile (1,1) = 3 in a 2×2 grid
 	src.SetDepth(70, 70, 0.3)
-	tile := src.TileOf(70, 70)
+	tile, _ := src.locate(70, 70)
 	dst.ClearDirty()
 	dst.CopyTileFrom(src, tile)
 	if dst.At(70, 70) != green || dst.DepthAt(70, 70) != 0.3 {
@@ -273,7 +273,7 @@ func TestCopyTileFromWritesStayPrivate(t *testing.T) {
 	src := MustNew(128, 128)
 	src.Set(70, 70, colorspace.Opaque(1, 0, 0))
 	src.SetDepth(70, 70, 0.3)
-	tile := src.TileOf(70, 70)
+	tile, _ := src.locate(70, 70)
 	dst := MustNew(128, 128)
 	if err := dst.CopyTileFrom(src, tile); err != nil {
 		t.Fatal(err)

@@ -339,9 +339,6 @@ func (g *GPU) SetOwnership(mask []bool) error {
 	return nil
 }
 
-// Ownership returns the current tile mask (nil = all tiles).
-func (g *GPU) Ownership() []bool { return g.ownership }
-
 // BusyUntil returns the cycle at which all currently submitted work drains.
 func (g *GPU) BusyUntil() sim.Cycle {
 	if g.geomFree > g.fragFree {
@@ -590,10 +587,6 @@ func (g *GPU) ProcessedTriangles(t sim.Cycle, quantum int) int {
 	}
 	return done
 }
-
-// ScheduledTriangles returns the total triangles submitted to this GPU's
-// geometry stage so far.
-func (g *GPU) ScheduledTriangles() int { return g.trisDone }
 
 // Stall pushes both pipeline stages back by the given cycles, modeling an
 // injected hiccup (thermal throttle, preemption, ECC scrub). Stall time is

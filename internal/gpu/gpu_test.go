@@ -132,8 +132,8 @@ func TestPipelineBackpressure(t *testing.T) {
 	if tris > 6 {
 		t.Errorf("geometry ran ahead: %d triangles by cycle %d", tris, 4*108)
 	}
-	if g.ScheduledTriangles() != 8 {
-		t.Errorf("scheduled = %d", g.ScheduledTriangles())
+	if g.trisDone != 8 {
+		t.Errorf("scheduled = %d", g.trisDone)
 	}
 }
 
@@ -238,7 +238,7 @@ func TestOwnershipAppliesToDraws(t *testing.T) {
 	if res.FragsGenerated != 64*64 {
 		t.Errorf("FragsGenerated = %d, want one tile", res.FragsGenerated)
 	}
-	if g.Ownership() == nil {
+	if g.ownership == nil {
 		t.Error("ownership not recorded")
 	}
 }

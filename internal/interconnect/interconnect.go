@@ -220,21 +220,6 @@ type Stats struct {
 // BytesFor returns the bytes transferred under class c.
 func (s *Stats) BytesFor(c Class) int64 { return s.Bytes[c] }
 
-// MessagesFor returns the message count under class c.
-func (s *Stats) MessagesFor(c Class) int64 { return s.Messages[c] }
-
-// TotalBytes returns all bytes across classes.
-func (s *Stats) TotalBytes() int64 {
-	var t int64
-	for _, b := range s.Bytes {
-		t += b
-	}
-	return t
-}
-
-// FaultsFor returns the fault counters for class c.
-func (s *Stats) FaultsFor(c Class) FaultCounters { return s.Faults[c] }
-
 // TotalFaults sums the fault counters across classes.
 func (s *Stats) TotalFaults() FaultCounters {
 	var t FaultCounters

@@ -122,7 +122,7 @@ func TestControlMessages(t *testing.T) {
 	if ctl != 200 {
 		t.Errorf("control delivered at %d, want 200", ctl)
 	}
-	if f.Stats().BytesFor(ClassControl) != 4 || f.Stats().MessagesFor(ClassControl) != 1 {
+	if f.Stats().BytesFor(ClassControl) != 4 || f.Stats().Messages[ClassControl] != 1 {
 		t.Errorf("control stats = %+v", f.Stats())
 	}
 }
@@ -138,8 +138,12 @@ func TestStatsByClass(t *testing.T) {
 	if s.BytesFor(ClassComposition) != 100 || s.BytesFor(ClassPrimDist) != 50 || s.BytesFor(ClassSync) != 25 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.TotalBytes() != 175 {
-		t.Errorf("total = %d", s.TotalBytes())
+	var total int64
+	for _, b := range s.Bytes {
+		total += b
+	}
+	if total != 175 {
+		t.Errorf("total = %d", total)
 	}
 }
 
@@ -213,9 +217,9 @@ func TestEdgeCases(t *testing.T) {
 			},
 			check: func(t *testing.T, eng *sim.Engine, f *Fabric) {
 				s := f.Stats()
-				if s.BytesFor(ClassControl) != 0 || s.MessagesFor(ClassControl) != 2 {
+				if s.BytesFor(ClassControl) != 0 || s.Messages[ClassControl] != 2 {
 					t.Errorf("stats = %d bytes / %d messages, want 0 / 2",
-						s.BytesFor(ClassControl), s.MessagesFor(ClassControl))
+						s.BytesFor(ClassControl), s.Messages[ClassControl])
 				}
 			},
 		},

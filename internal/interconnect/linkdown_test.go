@@ -173,7 +173,7 @@ func TestRetryReclaimsRoutedLinks(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
-	fc := f.Stats().FaultsFor(ClassComposition)
+	fc := f.Stats().Faults[ClassComposition]
 	if fc.Drops != 1 || fc.Retries != 1 {
 		t.Fatalf("counters = %+v, want 1 drop, 1 retry", fc)
 	}

@@ -54,7 +54,7 @@ func TestRetryRecoversDroppedTransfer(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want exactly 1", delivered)
 	}
-	fc := f.Stats().FaultsFor(ClassComposition)
+	fc := f.Stats().Faults[ClassComposition]
 	if fc.Drops != 1 || fc.Timeouts != 1 || fc.Retries != 1 || fc.Lost != 0 {
 		t.Errorf("counters = %+v, want 1 drop, 1 timeout, 1 retry, 0 lost", fc)
 	}
@@ -65,7 +65,7 @@ func TestRetryRecoversDroppedTransfer(t *testing.T) {
 	if got := f.Stats().BytesFor(ClassComposition); got != 12800 {
 		t.Errorf("bytes = %d, want 12800 (original + retransmit)", got)
 	}
-	if got := f.Stats().MessagesFor(ClassComposition); got != 1 {
+	if got := f.Stats().Messages[ClassComposition]; got != 1 {
 		t.Errorf("messages = %d, want 1 (logical sends only)", got)
 	}
 }
@@ -99,7 +99,7 @@ func TestRetryRecoversCorruptedTransfer(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want exactly 1", delivered)
 	}
-	fc := f.Stats().FaultsFor(ClassComposition)
+	fc := f.Stats().Faults[ClassComposition]
 	if fc.Corrupts != 1 || fc.Retries != 1 {
 		t.Errorf("counters = %+v, want 1 corrupt, 1 retry", fc)
 	}
@@ -114,7 +114,7 @@ func TestDuplicateDeliveredOnce(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want exactly 1 (receiver dedups)", delivered)
 	}
-	fc := f.Stats().FaultsFor(ClassComposition)
+	fc := f.Stats().Faults[ClassComposition]
 	if fc.Duplicates != 1 || fc.Retries != 0 {
 		t.Errorf("counters = %+v, want 1 duplicate, 0 retries", fc)
 	}
@@ -130,7 +130,7 @@ func TestDelayAddsLatency(t *testing.T) {
 	if done != 800 {
 		t.Errorf("delayed delivery at %d, want 800", done)
 	}
-	if fc := f.Stats().FaultsFor(ClassComposition); fc.Delays != 1 {
+	if fc := f.Stats().Faults[ClassComposition]; fc.Delays != 1 {
 		t.Errorf("counters = %+v, want 1 delay", fc)
 	}
 }
@@ -146,7 +146,7 @@ func TestRetryBudgetExhaustionIsLost(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("lost transfer delivered %d times", delivered)
 	}
-	fc := f.Stats().FaultsFor(ClassComposition)
+	fc := f.Stats().Faults[ClassComposition]
 	if fc.Drops != 4 || fc.Retries != 3 || fc.Lost != 1 {
 		t.Errorf("counters = %+v, want 4 drops, 3 retries, 1 lost", fc)
 	}
@@ -178,7 +178,7 @@ func TestRetryBackoffCapped(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
-	fc := f.Stats().FaultsFor(ClassComposition)
+	fc := f.Stats().Faults[ClassComposition]
 	if fc.Retries != 5 || fc.Lost != 0 {
 		t.Errorf("counters = %+v, want 5 retries, 0 lost", fc)
 	}
@@ -199,7 +199,7 @@ func TestControlMessageRetry(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("control delivered %d times, want 1", delivered)
 	}
-	fc := f.Stats().FaultsFor(ClassControl)
+	fc := f.Stats().Faults[ClassControl]
 	if fc.Drops != 1 || fc.Retries != 1 {
 		t.Errorf("counters = %+v, want 1 drop, 1 retry", fc)
 	}

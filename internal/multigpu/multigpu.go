@@ -478,17 +478,22 @@ func (s *System) Owner(t int) int { return s.owners[t] }
 // Mask returns gpu g's tile-ownership mask (shared; do not mutate).
 func (s *System) Mask(g int) []bool { return s.masks[g] }
 
-// OwnedDirtyTiles returns the tiles of src's render target rt that are dirty
-// and owned by owner — the pixels a composition transfer to owner carries.
-func (s *System) OwnedDirtyTiles(src *gpu.GPU, rt, owner int) []int {
-	fb := src.Target(rt)
-	var tiles []int
+// OwnedDirtyTiles returns the dirty tiles of the screen-sized buffer fb that
+// owner owns and that overlap rows [lo, hi), with their pixel count inside
+// those rows — the payload of a composition or sync transfer to or from
+// owner. Over the full rows [0, Height()), px equals PixelCount(tiles).
+func (s *System) OwnedDirtyTiles(fb *framebuffer.Buffer, owner, lo, hi int) (tiles []int, px int) {
 	for t := 0; t < s.tileCount; t++ {
-		if s.owners[t] == owner && fb.Dirty(t) {
+		if s.owners[t] != owner || !fb.Dirty(t) {
+			continue
+		}
+		x0, y0, x1, y1 := fb.TileRect(t)
+		if rows := min(y1, hi) - max(y0, lo); rows > 0 {
 			tiles = append(tiles, t)
+			px += rows * (x1 - x0)
 		}
 	}
-	return tiles
+	return tiles, px
 }
 
 // PixelCount sums the pixels of the given tiles of a screen-sized buffer.

@@ -77,20 +77,41 @@ func TestMasksPartitionScreen(t *testing.T) {
 }
 
 func TestOwnedDirtyTiles(t *testing.T) {
+	// 640x480 is 10x8 tiles; the bottom tile row spans rows 448-479 only.
 	sys := newSys(t, DefaultConfig(), 640, 480)
-	g := sys.GPUs[0]
-	fb := g.Target(0)
+	fb := sys.GPUs[0].Target(0)
 	fb.ClearDirty()
-	fb.MarkDirty(8)  // owned by GPU 0 (8 % 8)
-	fb.MarkDirty(9)  // owned by GPU 1
-	fb.MarkDirty(16) // owned by GPU 0
-	tiles := sys.OwnedDirtyTiles(g, 0, 0)
-	if len(tiles) != 2 || tiles[0] != 8 || tiles[1] != 16 {
-		t.Errorf("tiles = %v", tiles)
+	last := sys.TileCount() - 1 // owned by GPU 7 (79 % 8)
+	for _, tl := range []int{8, 9, 16, last} {
+		// Tiles 8 (rows 0-63) and 16 (rows 64-127) are owned by GPU 0,
+		// tile 9 by GPU 1.
+		fb.MarkDirty(tl)
 	}
-	tiles = sys.OwnedDirtyTiles(g, 0, 1)
-	if len(tiles) != 1 || tiles[0] != 9 {
-		t.Errorf("tiles = %v", tiles)
+	h := sys.Height()
+	for _, c := range []struct {
+		owner, lo, hi int
+		tiles         []int
+		px            int
+	}{
+		{0, 0, h, []int{8, 16}, 2 * 64 * 64},
+		{1, 0, h, []int{9}, 64 * 64},
+		{7, 0, h, []int{last}, 64 * 32},
+		{2, 0, h, nil, 0},
+		// Both tiles straddle a bound: only their rows inside count.
+		{0, 32, 96, []int{8, 16}, 2 * 32 * 64},
+		// Tile 8 ends where the range starts and is excluded.
+		{0, 64, 100, []int{16}, 36 * 64},
+		{7, 0, 448, nil, 0},
+		{7, 460, 470, []int{last}, 10 * 64},
+	} {
+		tiles, px := sys.OwnedDirtyTiles(fb, c.owner, c.lo, c.hi)
+		if !slices.Equal(tiles, c.tiles) || px != c.px {
+			t.Errorf("OwnedDirtyTiles(owner %d, rows [%d,%d)) = %v, %d px; want %v, %d px",
+				c.owner, c.lo, c.hi, tiles, px, c.tiles, c.px)
+		}
+		if c.lo == 0 && c.hi == h && px != sys.PixelCount(tiles) {
+			t.Errorf("owner %d: full-range px %d != PixelCount %d", c.owner, px, sys.PixelCount(tiles))
+		}
 	}
 }
 

@@ -391,6 +391,26 @@ func staggered(p *plan.Plan) [][]plan.Session {
 	return rows
 }
 
+// sendMerge is CHOPIN's one composition transfer: it moves px pixels of
+// sub-image payload (bytesPerPx each) from src to dst and merges them on
+// dst's ROPs, where apply performs the merge and merged fires once the ROPs
+// have drained it. When src == dst the merge is local and no fabric traffic
+// flows. Otherwise, on delivery dst's merge is queued first and delivered,
+// when non-nil, runs after it — the point where a composition scheduler
+// frees the session's ports.
+func (r *chopinRun) sendMerge(src, dst, px int, bytesPerPx int64, apply, delivered, merged func()) {
+	if src == dst {
+		r.sys.GPUs[dst].SubmitMerge(px, apply, merged)
+		return
+	}
+	r.sys.Fabric.Send(src, dst, int64(px)*bytesPerPx, interconnect.ClassComposition, func() {
+		r.sys.GPUs[dst].SubmitMerge(px, apply, merged)
+		if delivered != nil {
+			delivered()
+		}
+	})
+}
+
 // opaqueGroup distributes draws across GPUs and composes the sub-images
 // out-of-order (Fig. 7 steps Ï–Ð).
 func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
@@ -439,7 +459,6 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 	}
 
 	var naiveSessions [][]plan.Session
-	naiveRemaining := 0
 	switch {
 	case r.compPlan.Alg != plan.AlgDirectSend:
 		var err error
@@ -458,87 +477,57 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 		}
 	default:
 		naiveSessions = staggered(r.compPlan)
-		naiveRemaining = r.compPlan.Sessions()
 	}
 
-	// region computes the transfer payload sender→receiver: sender's tiles
-	// dirtied by this group that receiver owns.
-	region := func(sender, receiver int) ([]int, int) {
-		tiles := r.sys.OwnedDirtyTiles(r.sys.GPUs[sender], rt, receiver)
-		return tiles, r.sys.PixelCount(tiles)
+	// A direct-send session carries the sender's tiles dirtied by this group
+	// that the receiver owns; the group completes when every session's merge
+	// has drained. Under the composition scheduler a session occupies the
+	// ports only for the pixel transfer: its delivery completes it and starts
+	// the sessions it unblocks while the receiver's ROPs drain the merge.
+	remaining := r.compPlan.Sessions()
+	merged := func() {
+		remaining--
+		if remaining == 0 {
+			groupEnd()
+		}
 	}
-	applyMerge := func(sender, receiver int, tiles []int) func() {
-		return func() {
-			dst := r.sys.GPUs[receiver].Target(rt)
-			src := r.sys.GPUs[sender].Target(rt)
+	var pump func()
+	complete := func(s plan.Session) {
+		if err := ps.Complete(s); err != nil {
+			r.ex.Fail(err)
+			return
+		}
+		pump()
+	}
+	send := func(s plan.Session) {
+		tiles, px := r.sys.OwnedDirtyTiles(r.sys.GPUs[s.Sender].Target(rt), s.Receiver, 0, r.sys.Height())
+		if px == 0 {
+			eng.After(0, func() {
+				if ps != nil {
+					complete(s)
+				}
+				merged()
+			})
+			return
+		}
+		var delivered func()
+		if ps != nil {
+			delivered = func() { complete(s) }
+		}
+		r.sendMerge(s.Sender, s.Receiver, px, framebuffer.OpaqueCompositionBytesPerPixel, func() {
+			dst := r.sys.GPUs[s.Receiver].Target(rt)
+			src := r.sys.GPUs[s.Sender].Target(rt)
 			if ck := r.sys.Check; ck != nil {
 				// Verified runs assert depth-test monotonicity per pixel.
 				ck.DepthMerge(dst, src, mergeCmp, tiles)
 				return
 			}
 			composite.DepthMerge(dst, src, mergeCmp, tiles)
-		}
+		}, delivered, merged)
 	}
-
-	// In scheduled mode a session occupies the ports only for the pixel
-	// transfer; the receiving GPU's ROPs drain the merge asynchronously.
-	// The group completes when all sessions AND all merges are done.
-	pendingMerges := 0
-	maybeGroupEnd := func() {
-		if ps.Done() && pendingMerges == 0 {
-			groupEnd()
-		}
-	}
-	var pumpScheduled func()
-	pumpScheduled = func() {
+	pump = func() {
 		for _, s := range ps.NextSessions() {
-			s := s
-			tiles, px := region(s.Sender, s.Receiver)
-			if px == 0 {
-				eng.After(0, func() {
-					if err := ps.Complete(s); err != nil {
-						r.ex.Fail(err)
-						return
-					}
-					maybeGroupEnd()
-					pumpScheduled()
-				})
-				continue
-			}
-			pendingMerges++
-			bytes := int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
-			r.sys.Fabric.Send(s.Sender, s.Receiver, bytes, interconnect.ClassComposition, func() {
-				if err := ps.Complete(s); err != nil {
-					r.ex.Fail(err)
-					return
-				}
-				r.sys.GPUs[s.Receiver].SubmitMerge(px, applyMerge(s.Sender, s.Receiver, tiles), func() {
-					pendingMerges--
-					maybeGroupEnd()
-				})
-				pumpScheduled()
-			})
-		}
-	}
-
-	naiveSend := func(g int) {
-		for _, s := range naiveSessions[g] {
-			recv := s.Receiver
-			tiles, px := region(g, recv)
-			finish := func() {
-				naiveRemaining--
-				if naiveRemaining == 0 {
-					groupEnd()
-				}
-			}
-			if px == 0 {
-				eng.After(0, finish)
-				continue
-			}
-			bytes := int64(px) * framebuffer.OpaqueCompositionBytesPerPixel
-			r.sys.Fabric.Send(g, recv, bytes, interconnect.ClassComposition, func() {
-				r.sys.GPUs[recv].SubmitMerge(px, applyMerge(g, recv, tiles), finish)
-			})
+			send(s)
 		}
 	}
 
@@ -557,9 +546,11 @@ func (r *chopinRun) opaqueGroup(grp primitive.Group, rt int) {
 			pex.setReady(g)
 		case ps != nil:
 			ps.SetReady(g)
-			pumpScheduled()
+			pump()
 		default:
-			naiveSend(g)
+			for _, s := range naiveSessions[g] {
+				send(s)
+			}
 		}
 	}
 
@@ -678,31 +669,16 @@ func (r *chopinRun) transparentBody(grp primitive.Group, rt int, op colorspace.B
 		layer := layers[holder]
 		bar := r.ex.TracedBarrier("background merge", groupEnd)
 		for owner := 0; owner < r.n; owner++ {
-			var tiles []int
-			for t := 0; t < r.sys.TileCount(); t++ {
-				if r.sys.Owner(t) == owner && layer.Dirty(t) {
-					tiles = append(tiles, t)
-				}
-			}
-			px := r.sys.PixelCount(tiles)
+			tiles, px := r.sys.OwnedDirtyTiles(layer, owner, 0, r.sys.Height())
 			if px == 0 {
 				continue
 			}
 			bar.Add(1)
-			owner, tiles := owner, tiles
-			apply := func() {
+			r.sendMerge(holder, owner, px, framebuffer.TransparentCompositionBytesPerPixel, func() {
 				// The GPU's target slot still points at the layer; blend
 				// into the real framebuffer it will be restored to.
 				composite.BlendMerge(saved[owner], layer, op, tiles)
-			}
-			if owner == holder {
-				r.sys.GPUs[owner].SubmitMerge(px, apply, bar.Done)
-				continue
-			}
-			bytes := int64(px) * framebuffer.TransparentCompositionBytesPerPixel
-			r.sys.Fabric.Send(holder, owner, bytes, interconnect.ClassComposition, func() {
-				r.sys.GPUs[owner].SubmitMerge(px, apply, bar.Done)
-			})
+			}, nil, bar.Done)
 		}
 		bar.SealDeferred(eng)
 	}
@@ -719,7 +695,6 @@ func (r *chopinRun) transparentBody(grp primitive.Group, rt int, op colorspace.B
 			return
 		}
 		for _, m := range tc.NextMerges() {
-			m := m
 			src := layers[m.From]
 			px := 0
 			for _, t := range src.DirtyTiles() {
@@ -745,10 +720,7 @@ func (r *chopinRun) transparentBody(grp primitive.Group, rt int, op colorspace.B
 				})
 				continue
 			}
-			bytes := int64(px) * framebuffer.TransparentCompositionBytesPerPixel
-			r.sys.Fabric.Send(m.From, m.To, bytes, interconnect.ClassComposition, func() {
-				r.sys.GPUs[m.To].SubmitMerge(px, apply, finish)
-			})
+			r.sendMerge(m.From, m.To, px, framebuffer.TransparentCompositionBytesPerPixel, apply, nil, finish)
 		}
 	}
 

@@ -242,17 +242,21 @@ func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, 
 				}
 				bar.Seal()
 			}
-			msgDone := func() {
-				pendingMsgs--
-				if pendingMsgs != 0 {
-					return
-				}
+			// nextTurn passes the distribution turn to the next GPU, or
+			// finishes the batch after the last one.
+			nextTurn := func() {
 				src++
 				if src < n {
 					sendFrom()
 					return
 				}
 				finishBatch()
+			}
+			msgDone := func() {
+				pendingMsgs--
+				if pendingMsgs == 0 {
+					nextTurn()
+				}
 			}
 			sendFrom = func() {
 				pendingMsgs = 0
@@ -266,14 +270,7 @@ func (GPUpd) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, 
 				if pendingMsgs == 0 {
 					// Nothing to send: the turn token still crosses the
 					// fabric to the next GPU (a control handshake).
-					sys.Fabric.SendControl(src, (src+1)%n, 4, func() {
-						src++
-						if src < n {
-							sendFrom()
-						} else {
-							finishBatch()
-						}
-					})
+					sys.Fabric.SendControl(src, (src+1)%n, 4, nextTurn)
 				}
 			}
 			sendFrom()

@@ -7,7 +7,6 @@ import (
 	"chopin/internal/core"
 	"chopin/internal/exec"
 	"chopin/internal/framebuffer"
-	"chopin/internal/interconnect"
 )
 
 // planExec executes one opaque composition group's exchange plan
@@ -83,7 +82,6 @@ func (px *planExec) setReady(g int) {
 func (px *planExec) pump() {
 	r := px.r
 	for _, s := range px.ps.NextSessions() {
-		s := s
 		rows := s.Region.Rows()
 		if rows == 0 {
 			// Degenerate split (more GPUs than rows in the range): the
@@ -91,14 +89,10 @@ func (px *planExec) pump() {
 			r.sys.Eng.After(0, func() { px.complete(s) })
 			continue
 		}
-		pixels := rows * r.sys.Width()
-		bytes := int64(pixels) * framebuffer.OpaqueCompositionBytesPerPixel
-		r.sys.Fabric.Send(s.Sender, s.Receiver, bytes, interconnect.ClassComposition, func() {
-			r.sys.GPUs[s.Receiver].SubmitMerge(pixels, func() {
-				composite.DepthMergeRegion(px.work[s.Receiver], px.work[s.Sender],
-					px.cmp, s.Region.Lo, s.Region.Hi, nil)
-			}, func() { px.complete(s) })
-		})
+		r.sendMerge(s.Sender, s.Receiver, rows*r.sys.Width(), framebuffer.OpaqueCompositionBytesPerPixel, func() {
+			composite.DepthMergeRegion(px.work[s.Receiver], px.work[s.Sender],
+				px.cmp, s.Region.Lo, s.Region.Hi, nil)
+		}, nil, func() { px.complete(s) })
 	}
 }
 
@@ -147,39 +141,15 @@ func (px *planExec) scatter() {
 			if !r.sys.Alive(owner) {
 				continue
 			}
-			var tiles []int
-			pxCount := 0
-			for t := 0; t < r.sys.TileCount(); t++ {
-				if r.sys.Owner(t) != owner || !w.Dirty(t) {
-					continue
-				}
-				x0, y0, x1, y1 := w.TileRect(t)
-				cy0, cy1 := max(y0, fr.Lo), min(y1, fr.Hi)
-				if cy1 <= cy0 {
-					continue
-				}
-				tiles = append(tiles, t)
-				pxCount += (cy1 - cy0) * (x1 - x0)
-			}
+			tiles, pxCount := r.sys.OwnedDirtyTiles(w, owner, fr.Lo, fr.Hi)
 			if pxCount == 0 {
 				continue
 			}
-			owner, tiles, pxCount := owner, tiles, pxCount
-			apply := func() {
+			bar.Add(1)
+			r.sendMerge(g, owner, pxCount, framebuffer.OpaqueCompositionBytesPerPixel, func() {
 				dst := r.sys.GPUs[owner].Target(px.rt)
 				composite.DepthMergeRegion(dst, w, px.cmp, fr.Lo, fr.Hi, tiles)
-			}
-			bar.Add(1)
-			if owner == g {
-				// The holder owns these tiles itself: a local ROP merge, no
-				// fabric traffic.
-				r.sys.GPUs[owner].SubmitMerge(pxCount, apply, bar.Done)
-				continue
-			}
-			bytes := int64(pxCount) * framebuffer.OpaqueCompositionBytesPerPixel
-			r.sys.Fabric.Send(g, owner, bytes, interconnect.ClassComposition, func() {
-				r.sys.GPUs[owner].SubmitMerge(pxCount, apply, bar.Done)
-			})
+			}, nil, bar.Done)
 		}
 	}
 	bar.SealDeferred(r.sys.Eng)

@@ -123,6 +123,13 @@ func Generate(b Benchmark, scale float64) *primitive.Frame {
 	return g.run()
 }
 
+// ScaledThreshold converts a triangle-denominated paper parameter (e.g. the
+// 4096-triangle composition-group threshold) to its proportional equivalent
+// on a trace generated at scale, never below 16 triangles.
+func ScaledThreshold(tris int, scale float64) int {
+	return max(16, int(float64(tris)*scale))
+}
+
 // GenerateSequence builds a short animation: frames consecutive frames of
 // the same scene viewed from a camera translating and yawing slightly each
 // frame. Consecutive frames share geometry and textures (real games exhibit
