@@ -24,8 +24,10 @@
 //     to stats phases, either as a single interval or split across
 //     overlapping-phase checkpoints;
 //   - [Runtime.IssueDraws] fans draw submissions out at the driver rate;
-//   - [Runtime.SyncTarget] is the render-target broadcast itself, also
-//     invocable mid-step (CHOPIN's transparent groups).
+//   - [Runtime.Sync] is the render-target broadcast ([Runtime.SyncTarget])
+//     timed as PhaseSync: the one consistency-sync entry point, used by
+//     RunSegments and by CHOPIN's render-target switches and transparent
+//     groups.
 //
 // Everything runs on the single-threaded deterministic event engine of
 // package sim; none of these types are safe for concurrent use.
@@ -420,32 +422,16 @@ func SplitSegments(draws []primitive.DrawCommand) []Segment {
 
 // RunSegments drives body over the frame's render-target segments. A
 // segment body renders its draw range and calls done() when the segment has
-// drained; between consecutive segments the runtime broadcasts the finished
-// render target to every GPU, clears its dirty flags, and attributes the
-// wait to PhaseSync — the render-target-switch step every scheme shares.
+// drained; between consecutive segments the runtime syncs the finished
+// render target (Sync) — the render-target-switch step every scheme shares.
 func (r *Runtime) RunSegments(body func(seg Segment, done func())) {
 	segs := SplitSegments(r.Fr.Draws)
 	r.Sequence(len(segs), func(i int, next func()) {
 		seg := segs[i]
 		body(seg, func() {
-			if i+1 == len(segs) {
-				return
+			if i+1 < len(segs) {
+				r.Sync(seg.RT, next)
 			}
-			t := r.StartPhase(stats.PhaseSync)
-			r.SyncTarget(seg.RT, nil, func() {
-				r.ClearDirty(seg.RT)
-				t.Stop()
-				next()
-			})
 		})
 	})
-}
-
-// ClearDirty resets render target rt's dirty flags on every GPU, so the
-// next consistency sync broadcasts only content rendered after this point
-// (delta synchronization).
-func (r *Runtime) ClearDirty(rt int) {
-	for _, g := range r.Sys.GPUs {
-		g.Target(rt).ClearDirty()
-	}
 }

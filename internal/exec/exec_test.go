@@ -288,7 +288,7 @@ func TestSyncTargetSingleGPU(t *testing.T) {
 	r := testRuntime(1)
 	done := false
 	r.Eng().After(0, func() {
-		r.SyncTarget(0, nil, func() { done = true })
+		r.SyncTarget(0, func() { done = true })
 	})
 	r.Run()
 	if !done {

@@ -3,34 +3,53 @@ package exec
 import (
 	"chopin/internal/framebuffer"
 	"chopin/internal/interconnect"
+	"chopin/internal/stats"
 )
 
-// SyncTarget broadcasts each GPU's owned authoritative region of render
-// target rt to all other GPUs (colour + depth), functionally copying owner
-// tiles into each peer's buffer. ownedTiles(src) selects the tiles GPU src
-// broadcasts (nil provider = src's currently dirty owned tiles, under the
-// system's current — possibly remapped — ownership). done fires when the
-// last transfer has drained. Failed GPUs neither broadcast nor receive.
+// Sync runs the consistency sync of render target rt (SyncTarget),
+// attributes its wait to PhaseSync, and then runs then.
+func (r *Runtime) Sync(rt int, then func()) {
+	t := r.StartPhase(stats.PhaseSync)
+	r.SyncTarget(rt, func() {
+		t.Stop()
+		then()
+	})
+}
+
+// SyncTarget broadcasts each live GPU's owned unsynced tiles of render
+// target rt (see framebuffer.Buffer.Unsynced), under the system's current —
+// possibly remapped — ownership, to every other live GPU (colour + depth),
+// functionally copying them into each peer's buffer. When the last transfer
+// has drained it clears rt's dirty and unsynced flags on every GPU, so the
+// next sync sends only tiles written after this one (delta
+// synchronization), and runs done. Failed GPUs neither broadcast nor
+// receive.
 //
 // This is the memory-consistency synchronization of paper Section V. It
-// runs automatically between segments under RunSegments; CHOPIN additionally
-// invokes it when entering a transparent composition group so that every
-// GPU holds the true opaque depth buffer (see DESIGN.md §4.3).
-func (r *Runtime) SyncTarget(rt int, ownedTiles func(src int) []int, done func()) {
+// runs between segments under RunSegments; CHOPIN also runs it at its
+// render-target switches and when entering a transparent composition group,
+// so that every GPU holds the true opaque depth buffer (see DESIGN.md §4.3b).
+func (r *Runtime) SyncTarget(rt int, done func()) {
 	sys := r.Sys
 	n := sys.Cfg.NumGPUs
-	b := r.TracedBarrier("target sync", done)
+	b := r.TracedBarrier("target sync", func() {
+		for _, g := range sys.GPUs {
+			g.Target(rt).ClearSynced()
+		}
+		done()
+	})
 	for src := 0; src < n; src++ {
 		if !sys.Alive(src) {
 			continue
 		}
+		srcFB := sys.GPUs[src].Target(rt)
 		var tiles []int
-		var px int
-		if ownedTiles != nil {
-			tiles = ownedTiles(src)
-			px = sys.PixelCount(tiles)
-		} else {
-			tiles, px = sys.OwnedDirtyTiles(sys.GPUs[src].Target(rt), src, 0, sys.Height())
+		px := 0
+		for t := range sys.TileCount() {
+			if sys.Owner(t) == src && srcFB.Unsynced(t) {
+				tiles = append(tiles, t)
+				px += srcFB.TilePixelCount(t)
+			}
 		}
 		if px == 0 {
 			continue

@@ -7,6 +7,11 @@
 // a draw command ("dirty" tiles) are exchanged between GPUs during image
 // composition (Section VI-C).
 //
+// A buffer also remembers which tiles are unsynced: written since the last
+// consistency sync (Section V), which broadcasts them to the other GPUs.
+// ClearDirty starts a new composition group's dirty set without losing
+// those tiles; ClearSynced, run once a sync has sent them, forgets both.
+//
 // Tiles are also the unit of storage. Each of a buffer's colour and depth
 // planes holds one slot per tile, and a slot points to a fixed-size 64×64
 // block allocated on the first write to that tile. An empty slot reads
@@ -60,8 +65,8 @@ const (
 const ClearDepth = 1.0
 
 // Buffer is a 2D render target with tile-sparse, copy-on-write colour and
-// depth planes and per-tile dirty tracking. The rasterizer has no stencil
-// test, so there is no stencil plane.
+// depth planes and per-tile dirty and unsynced tracking. The rasterizer has
+// no stencil test, so there is no stencil plane.
 type Buffer struct {
 	width, height  int
 	tilesX, tilesY int
@@ -69,6 +74,9 @@ type Buffer struct {
 	color plane[colorspace.RGBA]
 	depth plane[float64]
 	dirty []bool
+	// pending marks tiles dirty before the last ClearDirty and not synced
+	// since; a tile is unsynced when it is dirty or pending.
+	pending []bool
 }
 
 // tilePixels is the pixel count of one block: one tile of one plane,
@@ -194,6 +202,7 @@ func New(width, height int) (*Buffer, error) {
 	b.color = newPlane(n, colorspace.Transparent)
 	b.depth = newPlane(n, ClearDepth)
 	b.dirty = make([]bool, n)
+	b.pending = make([]bool, n)
 	return b, nil
 }
 
@@ -244,19 +253,30 @@ func (b *Buffer) FillColor(c colorspace.RGBA) {
 	b.color.reset(c)
 }
 
-// ClearDirty resets all dirty-tile flags.
+// ClearDirty resets all dirty-tile flags. The tiles stay unsynced until
+// ClearSynced.
 func (b *Buffer) ClearDirty() {
-	for i := range b.dirty {
-		b.dirty[i] = false
+	for i, d := range b.dirty {
+		if d {
+			b.pending[i] = true
+			b.dirty[i] = false
+		}
 	}
 }
 
+// ClearSynced resets all dirty and unsynced flags, once a consistency sync
+// has sent the buffer's unsynced tiles.
+func (b *Buffer) ClearSynced() {
+	clear(b.dirty)
+	clear(b.pending)
+}
+
 // Reset returns the buffer to its freshly constructed state: transparent
-// colour, far depth, nothing dirty. Degraded-mode recovery uses
+// colour, far depth, nothing dirty or unsynced. Degraded-mode recovery uses
 // this to drop a failed GPU's targets so stale content cannot be read back.
 func (b *Buffer) Reset() {
 	b.Clear(colorspace.Transparent, ClearDepth)
-	b.ClearDirty()
+	b.ClearSynced()
 }
 
 // InBounds reports whether pixel (x, y) lies inside the buffer.
@@ -319,6 +339,10 @@ func (b *Buffer) Dirty(t int) bool { return b.dirty[t] }
 // MarkDirty marks tile t as written.
 func (b *Buffer) MarkDirty(t int) { b.dirty[t] = true }
 
+// Unsynced reports whether tile t has been written since the last
+// ClearSynced: it is dirty, or was dirty before a ClearDirty.
+func (b *Buffer) Unsynced(t int) bool { return b.dirty[t] || b.pending[t] }
+
 // DirtyTiles returns the indices of all dirty tiles in ascending order.
 func (b *Buffer) DirtyTiles() []int {
 	var out []int
@@ -348,30 +372,32 @@ func (b *Buffer) CopyTileFrom(src *Buffer, t int) error {
 }
 
 // ClearTile resets tile t to the cleared state (transparent colour, far
-// depth) and clears its dirty flag. Degraded-mode recovery
+// depth) and clears its dirty and unsynced flags. Degraded-mode recovery
 // uses this before re-rendering a reassigned tile from scratch.
 func (b *Buffer) ClearTile(t int) {
 	b.color.fillTile(t, colorspace.Transparent)
 	b.depth.fillTile(t, ClearDepth)
 	b.dirty[t] = false
+	b.pending[t] = false
 }
 
 // Clone returns a copy of the buffer that shares every block with b.
 func (b *Buffer) Clone() *Buffer {
 	return &Buffer{
-		width:  b.width,
-		height: b.height,
-		tilesX: b.tilesX,
-		tilesY: b.tilesY,
-		color:  b.color.clone(),
-		depth:  b.depth.clone(),
-		dirty:  slices.Clone(b.dirty),
+		width:   b.width,
+		height:  b.height,
+		tilesX:  b.tilesX,
+		tilesY:  b.tilesY,
+		color:   b.color.clone(),
+		depth:   b.depth.clone(),
+		dirty:   slices.Clone(b.dirty),
+		pending: slices.Clone(b.pending),
 	}
 }
 
 // Equal reports whether two buffers have identical dimensions and whether
 // every pixel's colour is within eps per channel and depth within eps.
-// Dirty flags are not compared.
+// Dirty and unsynced flags are not compared.
 func (b *Buffer) Equal(o *Buffer, eps float64) bool {
 	if b.width != o.width || b.height != o.height {
 		return false

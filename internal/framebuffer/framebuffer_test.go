@@ -94,6 +94,63 @@ func TestDirtyTracking(t *testing.T) {
 	}
 }
 
+// TestUnsyncedTracking covers the two per-tile flags: ClearDirty starts a
+// new dirty set but keeps the tiles unsynced; ClearSynced, Reset and
+// ClearTile clear both flags; Clone copies both; CopyTileFrom carries only
+// dirty.
+func TestUnsyncedTracking(t *testing.T) {
+	b := MustNew(256, 256) // 4×4 tiles
+	white := colorspace.Opaque(1, 1, 1)
+	b.Set(0, 0, white)     // tile 0
+	b.Set(100, 100, white) // tile 5
+	b.ClearDirty()
+	b.Set(200, 0, white) // tile 3
+	if got := b.DirtyTiles(); len(got) != 1 || got[0] != 3 {
+		t.Errorf("DirtyTiles after ClearDirty and one write = %v, want [3]", got)
+	}
+	for tl := range b.TileCount() {
+		want := tl == 0 || tl == 3 || tl == 5
+		if b.Unsynced(tl) != want {
+			t.Errorf("Unsynced(%d) = %v, want %v", tl, b.Unsynced(tl), want)
+		}
+	}
+
+	clone := b.Clone()
+	for tl := range b.TileCount() {
+		if clone.Dirty(tl) != b.Dirty(tl) || clone.Unsynced(tl) != b.Unsynced(tl) {
+			t.Errorf("Clone tile %d: dirty %v unsynced %v, want %v %v",
+				tl, clone.Dirty(tl), clone.Unsynced(tl), b.Dirty(tl), b.Unsynced(tl))
+		}
+	}
+
+	// Tile 0 is unsynced but not dirty in b, so the copy leaves dst's tile 0
+	// clean; tile 3 is dirty in b and arrives dirty.
+	dst := MustNew(256, 256)
+	dst.CopyTileFrom(b, 0)
+	dst.CopyTileFrom(b, 3)
+	if dst.Dirty(0) || dst.Unsynced(0) || !dst.Dirty(3) {
+		t.Errorf("CopyTileFrom flags: tile 0 dirty %v unsynced %v, tile 3 dirty %v; want false false true",
+			dst.Dirty(0), dst.Unsynced(0), dst.Dirty(3))
+	}
+
+	b.ClearTile(0)
+	b.ClearTile(3)
+	if b.Dirty(3) || b.Unsynced(0) || b.Unsynced(3) || !b.Unsynced(5) {
+		t.Error("ClearTile must clear only its own tile's dirty and unsynced flags")
+	}
+
+	clone.ClearSynced()
+	b.Reset()
+	for tl := range b.TileCount() {
+		if clone.Dirty(tl) || clone.Unsynced(tl) {
+			t.Errorf("ClearSynced left tile %d dirty or unsynced", tl)
+		}
+		if b.Dirty(tl) || b.Unsynced(tl) {
+			t.Errorf("Reset left tile %d dirty or unsynced", tl)
+		}
+	}
+}
+
 func TestTileOfAndRectRoundTrip(t *testing.T) {
 	b := MustNew(300, 200)
 	f := func(px, py uint16) bool {
