@@ -241,3 +241,26 @@ func TestBarrierStateString(t *testing.T) {
 		t.Errorf("gpu state = %q", g)
 	}
 }
+
+func TestRunDetectsUnfinishedWalk(t *testing.T) {
+	// No barrier is registered: the step body simply never calls next, as a
+	// scheme does when a completion it waits on is lost. The drained engine
+	// must still fail typed, naming the step.
+	r := testRuntime(2)
+	r.Sequence(3, func(i int, next func()) {
+		if i < 1 {
+			next()
+		}
+	})
+	err := r.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run() = %v, want *DeadlockError", err)
+	}
+	if dl.Step != 1 || dl.Steps != 3 || len(dl.Barriers) != 0 {
+		t.Errorf("diagnostic step %d of %d, barriers %v; want step 1 of 3, none", dl.Step, dl.Steps, dl.Barriers)
+	}
+	if !strings.Contains(err.Error(), "step 1 of 3") {
+		t.Errorf("diagnostic does not name the unfinished step: %v", err)
+	}
+}

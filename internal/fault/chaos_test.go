@@ -85,6 +85,8 @@ type chaosResult struct {
 	cycles   int64
 	checksum uint64
 	errText  string
+	// lost counts the transfers the injector dropped or corrupted.
+	lost int64
 }
 
 // runChaosOne executes one scheme under one fault plan, converting panics
@@ -155,6 +157,7 @@ func runChaosOneWith(t *testing.T, env *chaosEnv, scheme string, plan *fault.Pla
 	st, err := s.Run(sys, env.fr)
 	if st != nil {
 		res.cycles = int64(st.TotalCycles)
+		res.lost = st.Faults.Drops + st.Faults.Corrupts
 	}
 	if err != nil {
 		res.errText = err.Error()
@@ -209,6 +212,39 @@ func TestChaos(t *testing.T) {
 			plan := fault.RandomPlan(int64(seed), chaosGPUs)
 			runChaosOne(t, env, scheme, plan)
 		})
+	}
+}
+
+// unprotectedSpecs are the transfer-fault mixes of the unprotected sweep,
+// at rates that make every scheme lose transfers on the chaos workload.
+var unprotectedSpecs = []string{"drop=0.3", "corrupt=0.3", "drop=0.1,corrupt=0.1"}
+
+// TestChaosUnprotected runs drop and corrupt plans with the retry protocol
+// off (Link.Retry.Timeout < 0), so a lost transfer is never recovered. The
+// contract still holds: a golden image or a typed error. A scheme whose
+// frame stops on a lost completion without a typed error returns a wrong
+// image, which the golden check catches. Each scheme must have lost
+// transfers somewhere in the sweep, or the sweep proves nothing.
+func TestChaosUnprotected(t *testing.T) {
+	env := chaosSetup(t)
+	noRetry := func(cfg *multigpu.Config) { cfg.Link.Retry.Timeout = -1 }
+	for _, scheme := range []string{"Duplication", "GPUpd", "SortMiddle", "CHOPIN"} {
+		lossy := 0
+		for seed := int64(1); seed <= 9; seed++ {
+			spec := unprotectedSpecs[seed%int64(len(unprotectedSpecs))]
+			plan, err := fault.ParseSpec(spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/%s/seed=%d", scheme, spec, seed), func(t *testing.T) {
+				if runChaosOneWith(t, env, scheme, plan, noRetry).lost > 0 {
+					lossy++
+				}
+			})
+		}
+		if lossy == 0 {
+			t.Errorf("%s: no run dropped or corrupted a transfer", scheme)
+		}
 	}
 }
 
