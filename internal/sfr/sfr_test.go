@@ -2,10 +2,12 @@ package sfr
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"chopin/internal/composite/plan"
+	"chopin/internal/core"
 	"chopin/internal/exec"
 	"chopin/internal/multigpu"
 	"chopin/internal/primitive"
@@ -19,7 +21,7 @@ var frameCache = map[string]*primitive.Frame{}
 
 func testFrame(t *testing.T, bench string, scale float64) *primitive.Frame {
 	t.Helper()
-	key := bench
+	key := fmt.Sprintf("%s@%g", bench, scale)
 	if fr, ok := frameCache[key]; ok {
 		return fr
 	}
@@ -474,5 +476,45 @@ func TestSortMiddleMatchesReference(t *testing.T) {
 	if st.PrimDistBytes < 10*gp.PrimDistBytes {
 		t.Errorf("sort-middle traffic (%d B) should dwarf GPUpd's (%d B)",
 			st.PrimDistBytes, gp.PrimDistBytes)
+	}
+}
+
+// TestTransparentGroupPinned pins CHOPIN's accelerated transparent group:
+// nfs at scale 0.1 on 8 GPUs, with the threshold scaled as chopinsim scales
+// it, is the one workload in the scale range whose transparent group runs
+// distributed rather than duplicated. Cycles, sync and composition traffic
+// and the image checksum must hold for scheduled and naive direct send.
+func TestTransparentGroupPinned(t *testing.T) {
+	const scale = 0.1
+	fr := testFrame(t, "nfs", scale)
+	cfg := multigpu.DefaultConfig()
+	cfg.GroupThreshold = trace.ScaledThreshold(cfg.GroupThreshold, scale)
+	accelerated := false
+	for _, st := range core.Plan(fr.Draws, cfg.GroupThreshold) {
+		accelerated = accelerated || (st.Group.Transparent && !st.Duplicate)
+	}
+	if !accelerated {
+		t.Fatal("nfs at scale 0.1 has no accelerated transparent group")
+	}
+	for _, tc := range []struct {
+		name   string
+		sched  bool
+		cycles int64
+	}{
+		{"CHOPIN", true, 420188},
+		{"CHOPIN-naive", false, 420109},
+	} {
+		cfg.UseCompScheduler = tc.sched
+		sys, st := runScheme(t, CHOPIN{}, cfg, fr)
+		if got := int64(st.TotalCycles); got != tc.cycles {
+			t.Errorf("%s: %d cycles, want %d", tc.name, got, tc.cycles)
+		}
+		if st.SyncBytes != 10060064 || st.CompositionBytes != 9324544 {
+			t.Errorf("%s: sync %d B, composition %d B; want 10060064 and 9324544",
+				tc.name, st.SyncBytes, st.CompositionBytes)
+		}
+		if got := fmt.Sprintf("%016x", sys.AssembleImage(0).Checksum()); got != "04b99e1e83867542" {
+			t.Errorf("%s: image checksum %s, want 04b99e1e83867542", tc.name, got)
+		}
 	}
 }
