@@ -186,7 +186,7 @@ func tab2(opt *Options) (*Result, error) {
 	tbl.AddRow("Composition group threshold", fmt.Sprintf("%d primitives", cfg.GroupThreshold))
 	tbl.AddRow("Inter-GPU bandwidth", fmt.Sprintf("%.0f GB/s (uni-directional)", cfg.Link.BytesPerCycle))
 	tbl.AddRow("Inter-GPU latency", fmt.Sprintf("%d cycles", cfg.Link.LatencyCycles))
-	tbl.AddRow("GPUpd batch size", fmt.Sprintf("%d primitives", cfg.BatchSize))
+	tbl.AddRow("GPUpd batch size", fmt.Sprintf("%d primitives", sfr.GPUpdBatchSize))
 	return &Result{ID: "tab2", Title: Title("tab2"), Table: tbl}, nil
 }
 

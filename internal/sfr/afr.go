@@ -99,7 +99,7 @@ func RunAFR(sys *multigpu.System, frames []*primitive.Frame) (*SequenceStats, er
 	}
 	eng := sys.Eng
 	n := sys.Cfg.NumGPUs
-	driver := sim.Cycle(sys.Cfg.DriverCyclesPerDraw)
+	driver := multigpu.DriverCyclesPerDraw
 	for _, gp := range sys.GPUs {
 		_ = gp.SetOwnership(nil) // AFR renders whole frames per GPU
 		gp.SetTextures(frames[0].Textures)
