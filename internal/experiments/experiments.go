@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,7 +35,7 @@ type ProgressEvent struct {
 	// Scheme, Bench, and GPUs identify the simulation that just finished.
 	Scheme, Bench string
 	GPUs          int
-	// Done and Total count completed simulations within the current batch.
+	// Done and Total count completed simulations within the experiment.
 	Done, Total int
 }
 
@@ -222,8 +223,8 @@ func (j *job) recordLabel() string {
 }
 
 // record appends the finished simulation's row to the run recorder and
-// fires the progress callback. done is the completed count within the
-// batch of total jobs.
+// fires the progress callback. done is the completed count of the
+// experiment's total jobs.
 func (j *job) record(opt *Options, st *stats.FrameStats, done, total int) {
 	exp := opt.expID
 	if exp == "" {
@@ -248,11 +249,15 @@ func runJobs(opt *Options, jobs []job) error {
 	var mu sync.Mutex
 	var firstErr error
 	var done int
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
 	}
-	// Prefetch the batch's unique frames concurrently: the per-key cache
+	ctx := opt.Ctx
+	// Prefetch the jobs' unique frames concurrently: the per-key cache
 	// entries are once-guarded, so distinct benchmarks generate in parallel
 	// here instead of serially inside the spawn loop below. Errors are
 	// surfaced by the per-job lookup, which hits the cached entry.
@@ -292,29 +297,16 @@ func runJobs(opt *Options, jobs []job) error {
 			defer func() { <-sem }()
 			defer func() {
 				if rec := recover(); rec != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%s on %s panicked: %v", j.scheme.Name(), j.bench, rec)
-					}
-					mu.Unlock()
+					fail(fmt.Errorf("%s on %s panicked: %v", j.scheme.Name(), j.bench, rec))
 				}
 			}()
 			sys, err := multigpu.New(j.cfg, fr.Width, fr.Height)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s on %s: %w", j.scheme.Name(), j.bench, err)
-				}
-				mu.Unlock()
-				return
+			var st *stats.FrameStats
+			if err == nil {
+				st, err = j.scheme.Run(sys, fr)
 			}
-			st, err := j.scheme.Run(sys, fr)
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s on %s: %w", j.scheme.Name(), j.bench, err)
-				}
-				mu.Unlock()
+				fail(fmt.Errorf("%s on %s: %w", j.scheme.Name(), j.bench, err))
 				return
 			}
 			st.Bench = j.bench
@@ -328,12 +320,8 @@ func runJobs(opt *Options, jobs []job) error {
 			mu.Unlock()
 			j.record(opt, st, d, len(jobs))
 			if len(st.Violations) > 0 {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s on %s: %d invariant violation(s): %s",
-						j.scheme.Name(), j.bench, len(st.Violations), st.Violations[0])
-				}
-				mu.Unlock()
+				fail(fmt.Errorf("%s on %s: %d invariant violation(s): %s",
+					j.scheme.Name(), j.bench, len(st.Violations), st.Violations[0]))
 			}
 			if opt.Verbose {
 				mu.Lock()
@@ -350,66 +338,115 @@ func runJobs(opt *Options, jobs []job) error {
 	return firstErr
 }
 
-// variant is a named scheme+config mutation relative to the base config.
+// variant is a named scheme and config mutation. Its name is the run-record
+// scheme label and, in speedup tables, the column header.
 type variant struct {
 	name   string
 	scheme sfr.Scheme
-	mutate func(*multigpu.Config)
+	mutate func(*multigpu.Config) // nil leaves the config unchanged
 }
 
-func ident(*multigpu.Config) {}
+// dup is the Duplication baseline: variant 0 of every speedup sweep.
+var dup = variant{"Duplication", sfr.Duplication{}, nil}
 
-// fig13Variants are the schemes compared in the headline figure, in paper
-// order. Duplication (the baseline) is run separately.
-func fig13Variants() []variant {
-	return []variant{
-		{"GPUpd", sfr.GPUpd{}, ident},
-		{"IdealGPUpd", sfr.GPUpd{}, func(c *multigpu.Config) { c.Link.Ideal = true }},
-		{"CHOPIN", sfr.CHOPIN{}, func(c *multigpu.Config) { c.UseCompScheduler = false }},
-		{"CHOPIN+CompSched", sfr.CHOPIN{}, ident},
-		{"IdealCHOPIN", sfr.CHOPIN{}, func(c *multigpu.Config) { c.Link.Ideal = true }},
-	}
+func idealLink(c *multigpu.Config)   { c.Link.Ideal = true }
+func noCompSched(c *multigpu.Config) { c.UseCompScheduler = false }
+
+// fig13Vars are the schemes compared in the headline figure, in paper
+// order, after the baseline.
+var fig13Vars = []variant{
+	dup,
+	{"GPUpd", sfr.GPUpd{}, nil},
+	{"IdealGPUpd", sfr.GPUpd{}, idealLink},
+	{"CHOPIN", sfr.CHOPIN{}, noCompSched},
+	{"CHOPIN+CompSched", sfr.CHOPIN{}, nil},
+	{"IdealCHOPIN", sfr.CHOPIN{}, idealLink},
 }
 
-// speedupMatrix runs the variants plus the Duplication baseline over the
-// benchmarks at the given GPU count and returns per-benchmark speedups and
-// the variant gmeans. cell labels the sweep point in run-record keys when
-// the same matrix is re-run under mutated configurations ("" otherwise).
-func speedupMatrix(opt *Options, vars []variant, gpus int, cell string, mutateAll func(*multigpu.Config)) (map[string][]float64, []float64, error) {
-	base := make([]*stats.FrameStats, len(opt.Benchmarks))
-	results := make([][]*stats.FrameStats, len(vars))
-	for i := range results {
-		results[i] = make([]*stats.FrameStats, len(opt.Benchmarks))
+// point is one setting of an experiment's swept parameter. cell tells
+// points that share a GPU count apart in run-record keys; label names the
+// point's row in gmean tables.
+type point struct {
+	gpus   int
+	cell   string
+	mutate func(*multigpu.Config) // nil leaves the config unchanged
+	label  []string
+}
+
+// at8 is the single point of experiments run at the paper's 8 GPUs.
+var at8 = []point{{gpus: 8}}
+
+// gpuPoints sweeps the GPU count.
+func gpuPoints(counts ...int) []point {
+	pts := make([]point, len(counts))
+	for i, n := range counts {
+		pts[i] = point{gpus: n, label: []string{fmt.Sprint(n)}}
 	}
+	return pts
+}
+
+// sweep runs every variant on every benchmark at every point, as one batch
+// of jobs ordered by point, then benchmark, then variant, and returns
+// out[point][variant][bench].
+func sweep(opt *Options, pts []point, vars []variant) ([][][]*stats.FrameStats, error) {
+	out := make([][][]*stats.FrameStats, len(pts))
 	var jobs []job
-	for bi, bench := range opt.Benchmarks {
-		cfg := opt.baseConfig()
-		cfg.NumGPUs = gpus
-		if mutateAll != nil {
-			mutateAll(&cfg)
+	for pi, p := range pts {
+		out[pi] = make([][]*stats.FrameStats, len(vars))
+		for vi := range vars {
+			out[pi][vi] = make([]*stats.FrameStats, len(opt.Benchmarks))
 		}
-		jobs = append(jobs, job{bench: bench, scheme: sfr.Duplication{}, cfg: cfg, out: &base[bi], cell: cell})
-		for vi, v := range vars {
-			vcfg := cfg
-			v.mutate(&vcfg)
-			jobs = append(jobs, job{bench: bench, scheme: v.scheme, cfg: vcfg, out: &results[vi][bi],
-				label: v.name, cell: cell})
-		}
-	}
-	if err := runJobs(opt, jobs); err != nil {
-		return nil, nil, err
-	}
-	perBench := map[string][]float64{}
-	gmeans := make([]float64, len(vars))
-	for vi := range vars {
-		var sp []float64
 		for bi, bench := range opt.Benchmarks {
-			s := results[vi][bi].Speedup(base[bi])
-			perBench[bench] = append(perBench[bench], 0) // placeholder grow
-			perBench[bench][vi] = s
-			sp = append(sp, s)
+			for vi, v := range vars {
+				cfg := opt.baseConfig()
+				cfg.NumGPUs = p.gpus
+				for _, m := range []func(*multigpu.Config){p.mutate, v.mutate} {
+					if m != nil {
+						m(&cfg)
+					}
+				}
+				jobs = append(jobs, job{bench: bench, scheme: v.scheme, cfg: cfg,
+					out: &out[pi][vi][bi], label: v.name, cell: p.cell})
+			}
 		}
-		gmeans[vi] = stats.GeoMean(sp)
 	}
-	return perBench, gmeans, nil
+	return out, runJobs(opt, jobs)
+}
+
+// speedups returns every variant's per-bench speedups over variant 0 at
+// one sweep point, sp[variant][bench], and each variant's gmean.
+func speedups(res [][]*stats.FrameStats) (sp [][]float64, gmeans []float64) {
+	sp = make([][]float64, len(res))
+	gmeans = make([]float64, len(res))
+	for v, runs := range res {
+		for b, st := range runs {
+			sp[v] = append(sp[v], st.Speedup(res[0][b]))
+		}
+		gmeans[v] = stats.GeoMean(sp[v])
+	}
+	return sp, gmeans
+}
+
+// f3 formats speedups as table cells.
+func f3(xs ...float64) []string {
+	cells := make([]string, len(xs))
+	for i, x := range xs {
+		cells[i] = fmt.Sprintf("%.3f", x)
+	}
+	return cells
+}
+
+// gmeanSweep runs vars over pts and renders one row per point: its label,
+// then the gmean speedup of every variant but the baseline.
+func gmeanSweep(opt *Options, pts []point, vars []variant, header ...string) (*stats.Table, error) {
+	out, err := sweep(opt, pts, vars)
+	if err != nil {
+		return nil, err
+	}
+	tbl := stats.NewTable(header...)
+	for p, res := range out {
+		_, g := speedups(res)
+		tbl.AddRow(slices.Concat(pts[p].label, f3(g[1:]...))...)
+	}
+	return tbl, nil
 }

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -96,5 +99,36 @@ func TestFig2SharesIncrease(t *testing.T) {
 			t.Fatalf("geometry share not increasing: %v", avg)
 		}
 		prev = v
+	}
+}
+
+// expiringCtx is a context that is live for its first Err call and
+// canceled afterwards, so a run sees it canceled only once simulating.
+type expiringCtx struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *expiringCtx) Err() error {
+	if c.calls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExtAFRHonorsContext checks that ext-afr stops on a canceled context,
+// both before it starts and while its simulations run.
+func TestExtAFRHonorsContext(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ctx := range map[string]context.Context{
+		"before": canceled,
+		"during": &expiringCtx{Context: context.Background()},
+	} {
+		opt := GoldenOptions()
+		opt.Ctx = ctx
+		if _, err := Run("ext-afr", opt); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
 	}
 }

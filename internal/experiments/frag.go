@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"chopin/internal/sfr"
-	"chopin/internal/sim"
 	"chopin/internal/stats"
 )
-
-// int64ToCycle converts an int latency parameter to a sim.Cycle.
-func int64ToCycle(v int) sim.Cycle { return sim.Cycle(v) }
 
 func init() {
 	register("fig15", "Fragments passing the depth/stencil test: duplication vs CHOPIN+CompSched", fig15)
@@ -17,41 +13,29 @@ func init() {
 }
 
 func fig15(opt *Options) (*Result, error) {
-	counts := []int{2, 4, 8}
-	dup := make([][]*stats.FrameStats, len(counts))
-	ch := make([][]*stats.FrameStats, len(counts))
-	var jobs []job
-	for ci, n := range counts {
-		dup[ci] = make([]*stats.FrameStats, len(opt.Benchmarks))
-		ch[ci] = make([]*stats.FrameStats, len(opt.Benchmarks))
-		for bi, bench := range opt.Benchmarks {
-			cfg := opt.baseConfig()
-			cfg.NumGPUs = n
-			jobs = append(jobs, job{bench: bench, scheme: sfr.Duplication{}, cfg: cfg, out: &dup[ci][bi]})
-			jobs = append(jobs, job{bench: bench, scheme: sfr.CHOPIN{}, cfg: cfg, out: &ch[ci][bi]})
-		}
-	}
-	if err := runJobs(opt, jobs); err != nil {
+	pts := gpuPoints(2, 4, 8)
+	out, err := sweep(opt, pts, []variant{dup, {"CHOPIN", sfr.CHOPIN{}, nil}})
+	if err != nil {
 		return nil, err
 	}
 	tbl := stats.NewTable("bench", "GPUs", "dup passed", "CHOPIN+ passed", "ratio", "early share")
-	avg := make([]float64, len(counts))
+	avg := make([]float64, len(pts))
 	for bi, bench := range opt.Benchmarks {
-		for ci, n := range counts {
-			d := dup[ci][bi].Raster.DepthPassed()
-			c := ch[ci][bi].Raster.DepthPassed()
+		for ci, p := range pts {
+			d := out[ci][0][bi].Raster.DepthPassed()
+			c := out[ci][1][bi].Raster.DepthPassed()
 			ratio := float64(c) / float64(d)
 			avg[ci] += ratio / float64(len(opt.Benchmarks))
-			early := float64(ch[ci][bi].Raster.FragsEarlyPassed) / float64(c)
-			tbl.AddRow(bench, fmt.Sprintf("%d", n),
+			early := float64(out[ci][1][bi].Raster.FragsEarlyPassed) / float64(c)
+			tbl.AddRow(bench, fmt.Sprint(p.gpus),
 				fmt.Sprintf("%d", d), fmt.Sprintf("%d", c),
 				fmt.Sprintf("%.3f", ratio), fmt.Sprintf("%.1f%%", 100*early))
 		}
 	}
 	notes := []string{}
-	for ci, n := range counts {
+	for ci, p := range pts {
 		notes = append(notes, fmt.Sprintf("avg extra depth-passing fragments at %d GPUs: %+.1f%% (paper: 3%%, 5.4%%, 7.1%%)",
-			n, 100*(avg[ci]-1)))
+			p.gpus, 100*(avg[ci]-1)))
 	}
 	return &Result{ID: "fig15", Title: Title("fig15"), Table: tbl, Notes: notes}, nil
 }

@@ -101,14 +101,11 @@ func spearman(a, b []float64) float64 {
 }
 
 func fig17(opt *Options) (*Result, error) {
-	runs := make([]*stats.FrameStats, len(opt.Benchmarks))
-	var jobs []job
-	for bi, bench := range opt.Benchmarks {
-		jobs = append(jobs, job{bench: bench, scheme: sfr.CHOPIN{}, cfg: opt.baseConfig(), out: &runs[bi]})
-	}
-	if err := runJobs(opt, jobs); err != nil {
+	out, err := sweep(opt, at8, []variant{{"CHOPIN", sfr.CHOPIN{}, nil}})
+	if err != nil {
 		return nil, err
 	}
+	runs := out[0][0]
 	tbl := stats.NewTable("bench", "composition MB", "sync MB", "control KB")
 	var total float64
 	for bi, bench := range opt.Benchmarks {
@@ -126,47 +123,35 @@ func fig17(opt *Options) (*Result, error) {
 		}}, nil
 }
 
+// chopinVars are fig13's CHOPIN variants after the baseline.
+var chopinVars = append([]variant{dup}, fig13Vars[3:]...)
+
 func fig18(opt *Options) (*Result, error) {
-	intervals := []int{1, 256, 512, 1024}
-	tbl := stats.NewTable("update interval", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
-	vars := []variant{
-		{"CHOPIN", sfr.CHOPIN{}, func(c *multigpu.Config) { c.UseCompScheduler = false }},
-		{"CHOPIN+CompSched", sfr.CHOPIN{}, ident},
-		{"IdealCHOPIN", sfr.CHOPIN{}, func(c *multigpu.Config) { c.Link.Ideal = true }},
-	}
-	for _, iv := range intervals {
-		iv := iv
-		_, gmeans, err := speedupMatrix(opt, vars, 8, fmt.Sprintf("q%d", iv), func(c *multigpu.Config) {
+	var pts []point
+	for _, iv := range []int{1, 256, 512, 1024} {
+		pts = append(pts, point{8, fmt.Sprintf("q%d", iv), func(c *multigpu.Config) {
 			c.SchedulerQuantum = iv
-		})
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddRow(fmt.Sprintf("every %d tris", iv),
-			fmt.Sprintf("%.3f", gmeans[0]), fmt.Sprintf("%.3f", gmeans[1]), fmt.Sprintf("%.3f", gmeans[2]))
+		}, []string{fmt.Sprintf("every %d tris", iv)}})
+	}
+	tbl, err := gmeanSweep(opt, pts, chopinVars, "update interval", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
+	if err != nil {
+		return nil, err
 	}
 	return &Result{ID: "fig18", Title: Title("fig18"), Table: tbl,
 		Notes: []string{"coarser status updates cost little performance (paper: 1.25x -> 1.22x)"}}, nil
 }
 
 func fig22(opt *Options) (*Result, error) {
-	thresholds := []int{256, 1024, 4096, 16384}
-	tbl := stats.NewTable("threshold", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
-	vars := []variant{
-		{"CHOPIN", sfr.CHOPIN{}, func(c *multigpu.Config) { c.UseCompScheduler = false }},
-		{"CHOPIN+CompSched", sfr.CHOPIN{}, ident},
-		{"IdealCHOPIN", sfr.CHOPIN{}, func(c *multigpu.Config) { c.Link.Ideal = true }},
-	}
-	for _, th := range thresholds {
+	var pts []point
+	for _, th := range []int{256, 1024, 4096, 16384} {
 		scaledTh := trace.ScaledThreshold(th, opt.Scale)
-		_, gmeans, err := speedupMatrix(opt, vars, 8, fmt.Sprintf("th%d", th), func(c *multigpu.Config) {
+		pts = append(pts, point{8, fmt.Sprintf("th%d", th), func(c *multigpu.Config) {
 			c.GroupThreshold = scaledTh
-		})
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddRow(fmt.Sprintf("%d tris", th),
-			fmt.Sprintf("%.3f", gmeans[0]), fmt.Sprintf("%.3f", gmeans[1]), fmt.Sprintf("%.3f", gmeans[2]))
+		}, []string{fmt.Sprintf("%d tris", th)}})
+	}
+	tbl, err := gmeanSweep(opt, pts, chopinVars, "threshold", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
+	if err != nil {
+		return nil, err
 	}
 	return &Result{ID: "fig22", Title: Title("fig22"), Table: tbl,
 		Notes: []string{"group sizes are bimodal, so most threshold settings separate the modes identically (thresholds scaled with the trace scale)"}}, nil

@@ -5,6 +5,7 @@ import (
 
 	"chopin/internal/multigpu"
 	"chopin/internal/sfr"
+	"chopin/internal/sim"
 	"chopin/internal/stats"
 )
 
@@ -21,26 +22,17 @@ func init() {
 }
 
 func fig2(opt *Options) (*Result, error) {
-	counts := []int{1, 2, 4, 8}
-	shares := make([][]*stats.FrameStats, len(counts))
-	var jobs []job
-	for ci, n := range counts {
-		shares[ci] = make([]*stats.FrameStats, len(opt.Benchmarks))
-		for bi, bench := range opt.Benchmarks {
-			cfg := opt.baseConfig()
-			cfg.NumGPUs = n
-			jobs = append(jobs, job{bench: bench, scheme: sfr.Duplication{}, cfg: cfg, out: &shares[ci][bi]})
-		}
-	}
-	if err := runJobs(opt, jobs); err != nil {
+	pts := gpuPoints(1, 2, 4, 8)
+	out, err := sweep(opt, pts, []variant{dup})
+	if err != nil {
 		return nil, err
 	}
 	tbl := stats.NewTable("bench", "1 GPU", "2 GPUs", "4 GPUs", "8 GPUs")
-	avg := make([]float64, len(counts))
+	avg := make([]float64, len(pts))
 	for bi, bench := range opt.Benchmarks {
 		row := []string{bench}
-		for ci := range counts {
-			s := shares[ci][bi].GeometryShare()
+		for ci := range pts {
+			s := out[ci][0][bi].GeometryShare()
 			avg[ci] += s / float64(len(opt.Benchmarks))
 			row = append(row, fmt.Sprintf("%.1f%%", 100*s))
 		}
@@ -56,27 +48,18 @@ func fig2(opt *Options) (*Result, error) {
 }
 
 func fig4(opt *Options) (*Result, error) {
-	counts := []int{2, 4, 8}
-	res := make([][]*stats.FrameStats, len(counts))
-	var jobs []job
-	for ci, n := range counts {
-		res[ci] = make([]*stats.FrameStats, len(opt.Benchmarks))
-		for bi, bench := range opt.Benchmarks {
-			cfg := opt.baseConfig()
-			cfg.NumGPUs = n
-			jobs = append(jobs, job{bench: bench, scheme: sfr.GPUpd{}, cfg: cfg, out: &res[ci][bi]})
-		}
-	}
-	if err := runJobs(opt, jobs); err != nil {
+	pts := gpuPoints(2, 4, 8)
+	out, err := sweep(opt, pts, []variant{{"GPUpd", sfr.GPUpd{}, nil}})
+	if err != nil {
 		return nil, err
 	}
 	tbl := stats.NewTable("bench", "GPUs", "projection", "distribution", "total overhead")
 	for bi, bench := range opt.Benchmarks {
-		for ci, n := range counts {
-			st := res[ci][bi]
+		for ci, p := range pts {
+			st := out[ci][0][bi]
 			proj := float64(st.Phase(stats.PhaseProjection)) / float64(st.TotalCycles)
 			dist := float64(st.Phase(stats.PhaseDistribution)) / float64(st.TotalCycles)
-			tbl.AddRow(bench, fmt.Sprintf("%d", n),
+			tbl.AddRow(bench, fmt.Sprint(p.gpus),
 				fmt.Sprintf("%.1f%%", 100*proj),
 				fmt.Sprintf("%.1f%%", 100*dist),
 				fmt.Sprintf("%.1f%%", 100*(proj+dist)))
@@ -86,102 +69,81 @@ func fig4(opt *Options) (*Result, error) {
 		Notes: []string{"sequential primitive distribution grows into the dominant overhead as GPU count rises"}}, nil
 }
 
-func fig5(opt *Options) (*Result, error) {
-	vars := []variant{
-		{"IdealGPUpd", sfr.GPUpd{}, func(c *multigpu.Config) { c.Link.Ideal = true }},
-		{"IdealCHOPIN", sfr.CHOPIN{}, func(c *multigpu.Config) { c.Link.Ideal = true }},
-	}
-	perBench, gmeans, err := speedupMatrix(opt, vars, 8, "", nil)
+// speedupTable runs vars at 8 GPUs and renders one row per benchmark with
+// the speedups of vars[from:] over the baseline, then their gmeans.
+func speedupTable(opt *Options, vars []variant, from int) (*stats.Table, error) {
+	out, err := sweep(opt, at8, vars)
 	if err != nil {
 		return nil, err
 	}
-	tbl := stats.NewTable("bench", "Duplication", "IdealGPUpd", "IdealCHOPIN")
-	for _, bench := range opt.Benchmarks {
-		sp := perBench[bench]
-		tbl.AddRow(bench, "1.000", fmt.Sprintf("%.3f", sp[0]), fmt.Sprintf("%.3f", sp[1]))
+	header := []string{"bench"}
+	for _, v := range vars[from:] {
+		header = append(header, v.name)
 	}
-	tbl.AddRow("GMean", "1.000", fmt.Sprintf("%.3f", gmeans[0]), fmt.Sprintf("%.3f", gmeans[1]))
+	tbl := stats.NewTable(header...)
+	sp, gmeans := speedups(out[0])
+	for bi, bench := range opt.Benchmarks {
+		row := []string{bench}
+		for _, s := range sp[from:] {
+			row = append(row, f3(s[bi])...)
+		}
+		tbl.AddRow(row...)
+	}
+	tbl.AddRow(append([]string{"GMean"}, f3(gmeans[from:]...)...)...)
+	return tbl, nil
+}
+
+func fig5(opt *Options) (*Result, error) {
+	tbl, err := speedupTable(opt, []variant{dup,
+		{"IdealGPUpd", sfr.GPUpd{}, idealLink},
+		{"IdealCHOPIN", sfr.CHOPIN{}, idealLink},
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
 	return &Result{ID: "fig5", Title: Title("fig5"), Table: tbl}, nil
 }
 
 func fig8(opt *Options) (*Result, error) {
-	vars := []variant{
-		{"GPUpd", sfr.GPUpd{}, ident},
-		{"CHOPIN_Round_Robin", sfr.CHOPIN{RoundRobin: true}, func(c *multigpu.Config) { c.UseCompScheduler = false }},
-	}
-	perBench, gmeans, err := speedupMatrix(opt, vars, 8, "", nil)
+	tbl, err := speedupTable(opt, []variant{dup,
+		{"GPUpd", sfr.GPUpd{}, nil},
+		{"CHOPIN_Round_Robin", sfr.CHOPIN{RoundRobin: true}, noCompSched},
+	}, 0)
 	if err != nil {
 		return nil, err
 	}
-	tbl := stats.NewTable("bench", "Duplication", "GPUpd", "CHOPIN_Round_Robin")
-	for _, bench := range opt.Benchmarks {
-		sp := perBench[bench]
-		tbl.AddRow(bench, "1.000", fmt.Sprintf("%.3f", sp[0]), fmt.Sprintf("%.3f", sp[1]))
-	}
-	tbl.AddRow("GMean", "1.000", fmt.Sprintf("%.3f", gmeans[0]), fmt.Sprintf("%.3f", gmeans[1]))
 	return &Result{ID: "fig8", Title: Title("fig8"), Table: tbl,
 		Notes: []string{"round-robin ignores draw sizes and execution state, causing load imbalance"}}, nil
 }
 
 func fig13(opt *Options) (*Result, error) {
-	vars := fig13Variants()
-	perBench, gmeans, err := speedupMatrix(opt, vars, 8, "", nil)
+	tbl, err := speedupTable(opt, fig13Vars, 1)
 	if err != nil {
 		return nil, err
 	}
-	header := append([]string{"bench"}, "GPUpd", "IdealGPUpd", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
-	tbl := stats.NewTable(header...)
-	for _, bench := range opt.Benchmarks {
-		row := []string{bench}
-		for _, s := range perBench[bench] {
-			row = append(row, fmt.Sprintf("%.3f", s))
-		}
-		tbl.AddRow(row...)
-	}
-	row := []string{"GMean"}
-	for _, g := range gmeans {
-		row = append(row, fmt.Sprintf("%.3f", g))
-	}
-	tbl.AddRow(row...)
 	return &Result{ID: "fig13", Title: Title("fig13"), Table: tbl,
 		Notes: []string{"speedups normalized to primitive duplication at the same GPU count (paper: CHOPIN+CompSched 1.25x gmean, up to 1.56x)"}}, nil
 }
 
+// fig14 breaks down the runs of fig13.
 func fig14(opt *Options) (*Result, error) {
-	vars := fig13Variants()
-	base := make([]*stats.FrameStats, len(opt.Benchmarks))
-	results := make([][]*stats.FrameStats, len(vars))
-	for i := range results {
-		results[i] = make([]*stats.FrameStats, len(opt.Benchmarks))
-	}
-	var jobs []job
-	for bi, bench := range opt.Benchmarks {
-		cfg := opt.baseConfig()
-		jobs = append(jobs, job{bench: bench, scheme: sfr.Duplication{}, cfg: cfg, out: &base[bi]})
-		for vi, v := range vars {
-			vcfg := cfg
-			v.mutate(&vcfg)
-			jobs = append(jobs, job{bench: bench, scheme: v.scheme, cfg: vcfg, out: &results[vi][bi], label: v.name})
-		}
-	}
-	if err := runJobs(opt, jobs); err != nil {
+	out, err := sweep(opt, at8, fig13Vars)
+	if err != nil {
 		return nil, err
 	}
+	res := out[0]
 	tbl := stats.NewTable("bench", "scheme", "normal", "projection", "distribution", "composition", "sync", "total")
-	emit := func(bench string, st, b *stats.FrameStats, name string) {
-		d := float64(b.TotalCycles)
-		tbl.AddRow(bench, name,
-			fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseNormal))/d),
-			fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseProjection))/d),
-			fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseDistribution))/d),
-			fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseComposition))/d),
-			fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseSync))/d),
-			fmt.Sprintf("%.3f", float64(st.TotalCycles)/d))
-	}
 	for bi, bench := range opt.Benchmarks {
-		emit(bench, base[bi], base[bi], "Duplication")
-		for vi, v := range vars {
-			emit(bench, results[vi][bi], base[bi], v.name)
+		d := float64(res[0][bi].TotalCycles)
+		for vi, v := range fig13Vars {
+			st := res[vi][bi]
+			tbl.AddRow(bench, v.name,
+				fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseNormal))/d),
+				fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseProjection))/d),
+				fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseDistribution))/d),
+				fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseComposition))/d),
+				fmt.Sprintf("%.3f", float64(st.Phase(stats.PhaseSync))/d),
+				fmt.Sprintf("%.3f", float64(st.TotalCycles)/d))
 		}
 	}
 	return &Result{ID: "fig14", Title: Title("fig14"), Table: tbl,
@@ -189,62 +151,41 @@ func fig14(opt *Options) (*Result, error) {
 }
 
 func fig19(opt *Options) (*Result, error) {
-	counts := []int{2, 4, 8, 16}
-	vars := fig13Variants()
-	tbl := stats.NewTable("GPUs", "GPUpd", "IdealGPUpd", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
-	for _, n := range counts {
-		_, gmeans, err := speedupMatrix(opt, vars, n, "", nil)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, g := range gmeans {
-			row = append(row, fmt.Sprintf("%.3f", g))
-		}
-		tbl.AddRow(row...)
+	tbl, err := gmeanSweep(opt, gpuPoints(2, 4, 8, 16), fig13Vars,
+		"GPUs", "GPUpd", "IdealGPUpd", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
+	if err != nil {
+		return nil, err
 	}
 	return &Result{ID: "fig19", Title: Title("fig19"), Table: tbl,
 		Notes: []string{"gmean speedup vs duplication at the SAME GPU count; CHOPIN scales, GPUpd does not"}}, nil
 }
 
 func fig20(opt *Options) (*Result, error) {
-	bws := []float64{16, 32, 64, 128}
-	vars := fig13Variants()
-	tbl := stats.NewTable("GB/s", "GPUpd", "IdealGPUpd", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
-	for _, bw := range bws {
-		bw := bw
-		_, gmeans, err := speedupMatrix(opt, vars, 8, fmt.Sprintf("bw%.0f", bw), func(c *multigpu.Config) {
+	var pts []point
+	for _, bw := range []float64{16, 32, 64, 128} {
+		pts = append(pts, point{8, fmt.Sprintf("bw%.0f", bw), func(c *multigpu.Config) {
 			c.Link.BytesPerCycle = bw // GB/s at 1 GHz = bytes/cycle
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmt.Sprintf("%.0f", bw)}
-		for _, g := range gmeans {
-			row = append(row, fmt.Sprintf("%.3f", g))
-		}
-		tbl.AddRow(row...)
+		}, []string{fmt.Sprintf("%.0f", bw)}})
+	}
+	tbl, err := gmeanSweep(opt, pts, fig13Vars,
+		"GB/s", "GPUpd", "IdealGPUpd", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
+	if err != nil {
+		return nil, err
 	}
 	return &Result{ID: "fig20", Title: Title("fig20"), Table: tbl}, nil
 }
 
 func fig21(opt *Options) (*Result, error) {
-	lats := []int{100, 200, 300, 400}
-	vars := fig13Variants()
-	tbl := stats.NewTable("cycles", "GPUpd", "IdealGPUpd", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
-	for _, lat := range lats {
-		lat := lat
-		_, gmeans, err := speedupMatrix(opt, vars, 8, fmt.Sprintf("lat%d", lat), func(c *multigpu.Config) {
-			c.Link.LatencyCycles = int64ToCycle(lat)
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmt.Sprintf("%d", lat)}
-		for _, g := range gmeans {
-			row = append(row, fmt.Sprintf("%.3f", g))
-		}
-		tbl.AddRow(row...)
+	var pts []point
+	for _, lat := range []int{100, 200, 300, 400} {
+		pts = append(pts, point{8, fmt.Sprintf("lat%d", lat), func(c *multigpu.Config) {
+			c.Link.LatencyCycles = sim.Cycle(lat)
+		}, []string{fmt.Sprint(lat)}})
+	}
+	tbl, err := gmeanSweep(opt, pts, fig13Vars,
+		"cycles", "GPUpd", "IdealGPUpd", "CHOPIN", "CHOPIN+CompSched", "IdealCHOPIN")
+	if err != nil {
+		return nil, err
 	}
 	return &Result{ID: "fig21", Title: Title("fig21"), Table: tbl,
 		Notes: []string{"GPUpd pays the link latency once per source GPU per batch; CHOPIN's bulk transfers amortize it"}}, nil

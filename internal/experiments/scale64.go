@@ -7,7 +7,6 @@ import (
 	"chopin/internal/interconnect"
 	"chopin/internal/multigpu"
 	"chopin/internal/sfr"
-	"chopin/internal/stats"
 )
 
 func init() {
@@ -41,34 +40,25 @@ var scale64Algs = []struct {
 // Duplication baseline at the same GPU count on the same fabric, so each
 // cell isolates what the composition schedule contributes at that scale.
 func scale64(opt *Options) (*Result, error) {
-	counts := []int{8, 16, 32, 64}
+	var pts []point
+	for _, n := range []int{8, 16, 32, 64} {
+		for _, tp := range scale64Topos {
+			pts = append(pts, point{n, "topo-" + tp.name, func(c *multigpu.Config) {
+				c.Link.Topology = tp.kind
+			}, []string{fmt.Sprint(n), tp.name}})
+		}
+	}
+	vars := []variant{dup}
 	header := []string{"GPUs", "topology"}
 	for _, a := range scale64Algs {
+		vars = append(vars, variant{"CHOPIN/" + a.name, sfr.CHOPIN{}, func(c *multigpu.Config) {
+			c.CompAlg = a.alg
+		}})
 		header = append(header, a.name)
 	}
-	tbl := stats.NewTable(header...)
-	for _, n := range counts {
-		for _, tp := range scale64Topos {
-			tp := tp
-			vars := make([]variant, len(scale64Algs))
-			for i, a := range scale64Algs {
-				a := a
-				vars[i] = variant{"CHOPIN/" + a.name, sfr.CHOPIN{}, func(c *multigpu.Config) {
-					c.CompAlg = a.alg
-				}}
-			}
-			_, gmeans, err := speedupMatrix(opt, vars, n, "topo-"+tp.name, func(c *multigpu.Config) {
-				c.Link.Topology = tp.kind
-			})
-			if err != nil {
-				return nil, err
-			}
-			row := []string{fmt.Sprintf("%d", n), tp.name}
-			for _, g := range gmeans {
-				row = append(row, fmt.Sprintf("%.3f", g))
-			}
-			tbl.AddRow(row...)
-		}
+	tbl, err := gmeanSweep(opt, pts, vars, header...)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{ID: "scale64", Title: Title("scale64"), Table: tbl,
 		Notes: []string{
