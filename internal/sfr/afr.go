@@ -221,7 +221,8 @@ func RunAFR(sys *multigpu.System, frames []*primitive.Frame) (*SequenceStats, er
 // RunSFRSequence renders the frames one after another under any
 // single-frame SFR scheme, accumulating the per-frame times: SFR's frame
 // latency equals its frame interval, so instantaneous and average frame
-// rates coincide. It stops at the first frame whose simulation fails,
+// rates coincide. It stops at the first frame whose simulation fails, or
+// whose verified run (multigpu.Config.Verify) reports invariant violations,
 // returning the partial sequence alongside the error.
 func RunSFRSequence(cfg multigpu.Config, scheme Scheme, frames []*primitive.Frame) (*SequenceStats, error) {
 	st := &SequenceStats{
@@ -239,6 +240,10 @@ func RunSFRSequence(cfg multigpu.Config, scheme Scheme, frames []*primitive.Fram
 		fs, err := scheme.Run(sys, fr)
 		if err != nil {
 			return st, fmt.Errorf("frame %d: %w", i, err)
+		}
+		if len(fs.Violations) > 0 {
+			return st, fmt.Errorf("frame %d: %d invariant violation(s): %s",
+				i, len(fs.Violations), fs.Violations[0])
 		}
 		st.IssueStart[i] = clock
 		clock += fs.TotalCycles

@@ -1,10 +1,12 @@
 package sfr
 
 import (
+	"strings"
 	"testing"
 
 	"chopin/internal/multigpu"
 	"chopin/internal/primitive"
+	"chopin/internal/stats"
 	"chopin/internal/trace"
 )
 
@@ -108,5 +110,34 @@ func TestSFRSequenceUniformIntervals(t *testing.T) {
 		if st.Display[i] != st.Complete[i] {
 			t.Errorf("frame %d: display %d != complete %d", i, st.Display[i], st.Complete[i])
 		}
+	}
+}
+
+// violatingScheme runs Duplication and reports an invariant violation on
+// its frame number bad, as a verified run of a faulty scheme would.
+type violatingScheme struct {
+	Duplication
+	runs *int
+	bad  int
+}
+
+func (v violatingScheme) Run(sys *multigpu.System, fr *primitive.Frame) (*stats.FrameStats, error) {
+	st, err := v.Duplication.Run(sys, fr)
+	if *v.runs == v.bad {
+		st.Violations = append(st.Violations, "injected violation")
+	}
+	*v.runs++
+	return st, err
+}
+
+func TestSFRSequenceFailsOnViolation(t *testing.T) {
+	b, _ := trace.ByName("cod2")
+	seq := trace.GenerateSequence(b, 0.03, 3)
+	st, err := RunSFRSequence(testConfig(2), violatingScheme{runs: new(int), bad: 1}, seq)
+	if err == nil || !strings.Contains(err.Error(), "frame 1: 1 invariant violation(s): injected violation") {
+		t.Fatalf("err = %v, want frame 1's violation", err)
+	}
+	if st.Complete[0] == 0 || st.Complete[1] != 0 {
+		t.Errorf("partial sequence = %v, want frame 0 only", st.Complete)
 	}
 }
