@@ -154,15 +154,17 @@ func (e *CanceledError) Error() string {
 	return fmt.Sprintf("exec: simulation canceled at cycle %d", e.At)
 }
 
-// Watchdog monitors a frame for deadlock and stuck progress. It runs as a
-// periodic engine event while barriers are outstanding: at each tick it
-// checks that the event queue has not drained under an unreleased barrier
-// (deadlock) and that barrier activity advanced since the previous tick
-// (progress). A tripped watchdog halts the engine and records a structured
-// error naming the blocked barriers and each GPU's state.
+// Watchdog monitors a frame for stuck progress. It runs as a periodic
+// engine event while barriers are outstanding: at each tick it checks that
+// barrier activity advanced since the previous tick. A tripped watchdog
+// halts the engine and records a StuckError naming the blocked barriers and
+// each GPU's state.
 //
 // The tick parks itself when no barriers are live, so a finished frame's
 // queue really drains and Run returns; registering a new barrier re-arms it.
+// It also parks when it is the only event left. The queue then drains, and
+// Run reports the unreleased barriers as a DeadlockError: Run is the one
+// deadlock detector, with or without a watchdog.
 type Watchdog struct {
 	r        *Runtime
 	interval sim.Cycle
@@ -205,14 +207,10 @@ func (w *Watchdog) tick() {
 		return
 	}
 	live := w.r.liveBarriers()
-	if len(live) == 0 {
-		// Nothing outstanding: park. A new barrier re-arms.
-		return
-	}
-	if w.r.Sys.Eng.Pending() == 0 {
-		// This tick was the only scheduled event: the frame's own events
-		// drained with barriers still waiting.
-		w.r.Fail(w.r.deadlockError(live))
+	if len(live) == 0 || w.r.Sys.Eng.Pending() == 0 {
+		// Nothing outstanding, or this tick was the only scheduled event:
+		// park. A new barrier re-arms; a drained queue with barriers still
+		// waiting is a deadlock, which Run reports.
 		return
 	}
 	if w.progress == w.lastSeen {
