@@ -581,10 +581,6 @@ func (f *Fabric) reroute(src, dst int, route []int) []int {
 		return route
 	}
 	f.rerouteCount++
-	if f.lt != nil {
-		// Blame the detour on the downed link that forced it.
-		f.lt.reroutes[downed]++
-	}
 	return append(route[:0], det...)
 }
 

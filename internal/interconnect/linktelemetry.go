@@ -27,7 +27,6 @@ type LinkTelemetry struct {
 	bytes     []int64     // payload bytes carried
 	transfers []int64     // transmissions carried (retransmissions included)
 	queued    []sim.Cycle // cycles waiting for this link: egress queue, then head-of-line per hop
-	reroutes  []int64     // detours forced by this (downed) link; always 0 on the crossbar
 
 	latency hist.H // per-transmission end-to-end latency: queue → last byte drained
 	hops    hist.H // per-transmission route length (always 1 on the crossbar)
@@ -51,7 +50,6 @@ func (f *Fabric) EnableLinkTelemetry() *LinkTelemetry {
 		bytes:     make([]int64, links),
 		transfers: make([]int64, links),
 		queued:    make([]sim.Cycle, links),
-		reroutes:  make([]int64, links),
 	}
 	return f.lt
 }

@@ -38,7 +38,6 @@ var schemeSlots = map[string]int{
 	"CHOPIN/direct-send": 4,
 	"CHOPIN/binary-swap": 2,
 	"CHOPIN/radix-k":     3,
-	"CHOPIN/auto":        6,
 }
 
 // schemeRanks orders schemes whose legend position should differ from
@@ -47,7 +46,6 @@ var schemeRanks = map[string]int{
 	"CHOPIN/direct-send": 10,
 	"CHOPIN/binary-swap": 11,
 	"CHOPIN/radix-k":     12,
-	"CHOPIN/auto":        13,
 }
 
 // schemeRank orders schemes canonically (legend and bar order).
