@@ -49,7 +49,8 @@ type State struct {
 	Run string `json:"run"`
 	// Cell labels the most recently completed simulation.
 	Cell string `json:"cell"`
-	// Done and Total count simulations within the current batch.
+	// Done and Total count simulations within the current batch (an
+	// experiment runs all its simulations as one batch).
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// Sims is the cumulative completed-simulation count across batches.
